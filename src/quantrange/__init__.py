@@ -25,7 +25,6 @@ from .exprs import (
 )
 from .intervals import (
     EMPTY,
-    Box,
     DivisionByZeroInterval,
     EmptyInterval,
     Interval,
@@ -54,7 +53,6 @@ from .sampling import (
     SamplingConfig,
     ratio_pair,
     sampling_estimate,
-    tightness_ratios,
     vertex_oracle_affine,
 )
 from .scalar import (
@@ -81,7 +79,6 @@ __all__ = [
     "EmptyInterval",
     "EMPTY",
     "MaybeInterval",
-    "Box",
     "DivisionByZeroInterval",
     "is_empty",
     "Expr",
@@ -115,7 +112,6 @@ __all__ = [
     "EmptyEstimate",
     "sampling_estimate",
     "vertex_oracle_affine",
-    "tightness_ratios",
     "ratio_pair",
     "linear_problem",
     "motion_problem",

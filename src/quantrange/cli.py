@@ -44,7 +44,7 @@ from .sampling import (
     sampling_estimate,
     work_digits,
 )
-from .vectorsolve import VectorResult, solve_vector
+from .vectorsolve import OutputError, VectorResult, solve_vector
 
 __all__ = ["main"]
 
@@ -247,6 +247,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         )
     except DivisionByZeroInterval as exc:
         raise InputError(f"interval division by zero while solving: {exc}")
+    except OutputError as exc:
+        raise InputError(f"{args.file}: {exc}")
     except ValueError as exc:
         raise InputError(str(exc))
     t_solve = time.perf_counter()

@@ -425,8 +425,13 @@ class _Parser:
 
 
 def parse(text: str) -> Expr:
-    """Parse an infix expression; raises ParseError on malformed input."""
-    return _Parser(text).parse()
+    """Parse an infix expression; raises ParseError on malformed input,
+    including nesting deeper than the recursive descent can follow."""
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise parser.error("expression nested too deeply", parser.peek(), set()) from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Closed-interval and box arithmetic with a floating-point soundness contract.
+"""Closed-interval arithmetic with a floating-point soundness contract.
 
 Every operation on intervals [lo, hi] (finite bounds, lo <= hi) satisfies
 containment: for any points x in a and y in b, the pointwise result x op y
@@ -8,13 +8,14 @@ bound toward -inf, the upper toward +inf — using exact error terms
 is actually inexact.  Results are therefore tight to 1 ULP for +,-,*,/ and
 to ~2 ULP for sin/cos.
 
-An empty result (from intersection or from emptiness conditions downstream)
-is the distinct singleton EMPTY, never a crossed interval.
+An empty result (from emptiness conditions downstream) is the distinct
+singleton EMPTY, never a crossed interval.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -24,7 +25,6 @@ __all__ = [
     "EmptyInterval",
     "EMPTY",
     "MaybeInterval",
-    "Box",
     "DivisionByZeroInterval",
     "iv_add",
     "iv_sub",
@@ -34,15 +34,14 @@ __all__ = [
     "iv_pow",
     "iv_sin",
     "iv_cos",
-    "iv_abs_bounds",
     "iv_hull",
-    "iv_intersect",
     "is_empty",
     "frac_to_float_down",
     "frac_to_float_up",
 ]
 
 _INF = math.inf
+_MAX = sys.float_info.max
 
 
 class DivisionByZeroInterval(ZeroDivisionError):
@@ -96,9 +95,18 @@ def two_product(a: float, b: float) -> tuple[float, float]:
 _TINY = 1e-290
 
 
+def _float(x: Fraction) -> float:
+    """float(x), or the largest finite float of x's sign when x is beyond
+    the float range (the directed step below then reaches the infinity)."""
+    try:
+        return float(x)
+    except OverflowError:
+        return _MAX if x > 0 else -_MAX
+
+
 def frac_to_float_down(x: Fraction) -> float:
     """Largest float <= x (float() is correctly rounded, so one step suffices)."""
-    f = float(x)
+    f = _float(x)
     if Fraction(f) > x:
         f = _next_down(f)
     return f
@@ -106,7 +114,7 @@ def frac_to_float_down(x: Fraction) -> float:
 
 def frac_to_float_up(x: Fraction) -> float:
     """Smallest float >= x."""
-    f = float(x)
+    f = _float(x)
     if Fraction(f) < x:
         f = _next_up(f)
     return f
@@ -439,13 +447,8 @@ def iv_cos(a: Interval) -> Interval:
 
 
 # ---------------------------------------------------------------------------
-# Lattice-ish helpers
+# Hull
 # ---------------------------------------------------------------------------
-
-
-def iv_abs_bounds(a: Interval) -> Interval:
-    """[mig(a), mag(a)]: the range of |x| over a.  Exact (no rounding)."""
-    return Interval(a.mig(), a.mag())
 
 
 def iv_hull(a: MaybeInterval, b: MaybeInterval) -> MaybeInterval:
@@ -455,43 +458,3 @@ def iv_hull(a: MaybeInterval, b: MaybeInterval) -> MaybeInterval:
     if is_empty(b):
         return a
     return Interval(min(a.lo, b.lo), max(a.hi, b.hi))
-
-
-def iv_intersect(a: MaybeInterval, b: MaybeInterval) -> MaybeInterval:
-    """Set intersection; EMPTY when the intervals do not overlap."""
-    if is_empty(a) or is_empty(b):
-        return EMPTY
-    lo = max(a.lo, b.lo)
-    hi = min(a.hi, b.hi)
-    if lo > hi:
-        return EMPTY
-    return Interval(lo, hi)
-
-
-# ---------------------------------------------------------------------------
-# Boxes
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class Box:
-    """Cartesian product of intervals with a fixed dimension count."""
-
-    dims: tuple[Interval, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(self.dims))
-
-    def __len__(self) -> int:
-        return len(self.dims)
-
-    def __getitem__(self, i: int) -> Interval:
-        if not -len(self.dims) <= i < len(self.dims):
-            raise IndexError(f"box has {len(self.dims)} dimensions, index {i} out of range")
-        return self.dims[i]
-
-    def __iter__(self):
-        return iter(self.dims)
-
-    def __repr__(self) -> str:
-        return " x ".join(repr(d) for d in self.dims)

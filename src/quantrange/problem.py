@@ -142,12 +142,6 @@ class QuantifiedProblem:
 
     # ---- views -----------------------------------------------------------
 
-    def variable(self, name: str) -> VariableSpec:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise KeyError(name)
-
     def domains(self) -> dict[str, Interval]:
         return {v.name: v.domain for v in self.variables}
 
@@ -165,12 +159,6 @@ class QuantifiedProblem:
         """(forall, exists) block pairs of the normalized prefix."""
         blocks = self.normalized()
         return tuple((blocks[2 * k], blocks[2 * k + 1]) for k in range(len(blocks) // 2))
-
-    def quantifier_of(self, name: str) -> Quantifier:
-        for block in self.blocks:
-            if name in block.names:
-                return block.quantifier
-        raise KeyError(name)
 
     def with_outputs(self, outputs: Iterable[Output]) -> "QuantifiedProblem":
         return QuantifiedProblem(self.variables, self.blocks, tuple(outputs))

@@ -22,20 +22,17 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from .exprs import Add, Const, Expr, Mul, Var, eval_point
 from .intervals import EMPTY, Interval, MaybeInterval, is_empty
 from .problem import Output, QuantifiedProblem, Quantifier
-from .scalar import ScalarResult
-from .vectorsolve import VectorResult
 
 __all__ = [
     "SamplingConfig",
     "EmptyEstimate",
     "sampling_estimate",
     "vertex_oracle_affine",
-    "tightness_ratios",
     "ratio_pair",
     "work_digits",
 ]
@@ -139,8 +136,8 @@ def sampling_estimate(
 
 
 def vertex_oracle_affine(
-    delta0: Union[float, Fraction],
-    coeffs: Mapping[str, Union[float, Fraction]],
+    delta0: float | Fraction,
+    coeffs: Mapping[str, float | Fraction],
     problem: QuantifiedProblem,
 ) -> MaybeInterval:
     """Endpoint-grid estimate of an affine function under the problem's
@@ -182,16 +179,3 @@ def ratio_pair(
     outer_ratio = _width_ratio(outer.width, sample_width)
     return inner_ratio, outer_ratio
 
-
-def tightness_ratios(
-    result: Union[ScalarResult, VectorResult],
-    estimates: Sequence[MaybeInterval],
-) -> list[tuple[float, float]]:
-    """Per-output (inner/sample, outer/sample) width ratios."""
-    if isinstance(result, VectorResult):
-        pairs = [(c.inner, c.outer) for c in result.components]
-    else:
-        pairs = [(result.inner, result.outer)]
-    if len(pairs) != len(estimates):
-        raise ValueError("one estimate per output component required")
-    return [ratio_pair(inner, outer, est) for (inner, outer), est in zip(pairs, estimates)]

@@ -31,6 +31,11 @@ Affine expressions take an exact path instead: after rescaling each domain
 to [-1, 1], per-block coefficient norms decide emptiness and give the
 quantified range exactly (in rationals), with the same alternation
 condition.  For affine f the inner and outer results coincide.
+
+None of the per-expression work depends on the prefix: `prepare` computes
+the center value, the rows and the affine form once, and `assemble` turns
+them into bounds for any prefix over the same variables.  `solve_scalar`
+is the two in sequence.
 """
 
 from __future__ import annotations
@@ -74,10 +79,13 @@ __all__ = [
     "ZERO_ROW",
     "AssembledBounds",
     "ScalarResult",
+    "PreparedOutput",
     "contribution_rows",
     "assemble_bounds",
     "affine_coefficients",
     "exact_affine_range",
+    "prepare",
+    "assemble",
     "solve_scalar",
 ]
 
@@ -160,10 +168,6 @@ def _first_failing_pair(
     return None
 
 
-def _frac(x: float) -> Fraction:
-    return Fraction(x)
-
-
 # ---------------------------------------------------------------------------
 # Pairwise assembly of inner and outer bounds
 # ---------------------------------------------------------------------------
@@ -184,10 +188,10 @@ def _block_sums(
     il = ih = ol = oh = Fraction(0)
     for name in block.names:
         row = rows.get(name, ZERO_ROW)
-        il += _frac(row.inner.lo)
-        ih += _frac(row.inner.hi)
-        ol += _frac(row.outer.lo)
-        oh += _frac(row.outer.hi)
+        il += Fraction(row.inner.lo)
+        ih += Fraction(row.inner.hi)
+        ol += Fraction(row.outer.lo)
+        oh += Fraction(row.outer.hi)
     return il, ih, ol, oh
 
 
@@ -198,7 +202,7 @@ def assemble_bounds(
     all_names: Sequence[str],
 ) -> AssembledBounds:
     """Pairwise inner/outer assembly from contribution rows (exact rationals)."""
-    fl, fh = _frac(fc.lo), _frac(fc.hi)
+    fl, fh = Fraction(fc.lo), Fraction(fc.hi)
 
     fa = [_block_sums(rows, p[0]) for p in pairs]  # universal blocks
     ex = [_block_sums(rows, p[1]) for p in pairs]  # existential blocks
@@ -230,8 +234,8 @@ def assemble_bounds(
         outer_hi = fh + sum((fa[k][0] + ex[k][3] for k in range(len(pairs))), Fraction(0))
     else:
         # Fallback: plain mean-value range enclosure over every variable.
-        outer_lo = fl + sum((_frac(rows.get(n, ZERO_ROW).outer.lo) for n in all_names), Fraction(0))
-        outer_hi = fh + sum((_frac(rows.get(n, ZERO_ROW).outer.hi) for n in all_names), Fraction(0))
+        outer_lo = fl + sum((Fraction(rows.get(n, ZERO_ROW).outer.lo) for n in all_names), Fraction(0))
+        outer_hi = fh + sum((Fraction(rows.get(n, ZERO_ROW).outer.hi) for n in all_names), Fraction(0))
     outer = Interval(frac_to_float_down(outer_lo), frac_to_float_up(outer_hi))
 
     return AssembledBounds(inner, outer, inner_failed, outer_failed)
@@ -321,7 +325,7 @@ def exact_affine_range(
         for name in block.names:
             spec = specs[name]
             coeff = coeffs.get(name, Fraction(0))
-            lo, hi = _frac(spec.domain.lo), _frac(spec.domain.hi)
+            lo, hi = Fraction(spec.domain.lo), Fraction(spec.domain.hi)
             total += abs(coeff) * (hi - lo) / 2
             const += coeff * (hi + lo) / 2
         norms.append(total)
@@ -334,7 +338,7 @@ def exact_affine_range(
 
 
 # ---------------------------------------------------------------------------
-# Scalar solve
+# Scalar solve: prepare once, assemble per prefix
 # ---------------------------------------------------------------------------
 
 
@@ -351,47 +355,58 @@ class ScalarResult:
     outer_failed_pair: int | None = None
 
 
+@dataclass(frozen=True, slots=True)
+class PreparedOutput:
+    """Everything the bounds of one expression need, whatever the prefix:
+    the center value, the contribution rows and the exact affine form
+    (None when the expression is not affine or its rows were supplied)."""
+
+    fc: Interval
+    rows: dict[str, ContributionRow]
+    affine: _AffinePair | None
+
+
+def prepare(
+    problem: QuantifiedProblem,
+    expr: Expr,
+    supplied_rows: Mapping[str, ContributionRow] | None = None,
+) -> PreparedOutput:
+    """Evaluate expr once over the problem's variables; the prefix is not
+    read.  Supplied rows replace the computed ones and force row assembly."""
+    fc = eval_interval(expr, problem.center_env())
+    if supplied_rows is not None:
+        return PreparedOutput(fc, dict(supplied_rows), None)
+    return PreparedOutput(fc, contribution_rows(expr, problem), affine_coefficients(expr))
+
+
+def assemble(prepared: PreparedOutput, problem: QuantifiedProblem) -> ScalarResult:
+    """Bounds of a prepared expression under the problem's prefix.
+
+    Affine expressions are solved exactly, with inner == outer; an empty
+    exact range reports both bounds empty.  All others use contribution-row
+    assembly.
+    """
+    fc, rows = prepared.fc, prepared.rows
+    if prepared.affine is not None:
+        exact = exact_affine_range(*prepared.affine, problem)
+        if exact is None:
+            return ScalarResult(EMPTY, EMPTY, fc, rows, "exact-affine")
+        lo, hi = exact
+        in_lo, in_hi = frac_to_float_up(lo), frac_to_float_down(hi)
+        inner = Interval(in_lo, in_hi) if in_lo <= in_hi else EMPTY
+        outer = Interval(frac_to_float_down(lo), frac_to_float_up(hi))
+        return ScalarResult(inner, outer, fc, rows, "exact-affine")
+    names = [v.name for v in problem.variables]
+    got = assemble_bounds(fc, rows, problem.normalized_pairs(), names)
+    return ScalarResult(
+        got.inner, got.outer, fc, rows, "mean-value", got.inner_failed_pair, got.outer_failed_pair
+    )
+
+
 def solve_scalar(
     problem: QuantifiedProblem,
     expr: Expr,
     supplied_rows: Mapping[str, ContributionRow] | None = None,
 ) -> ScalarResult:
-    """Bound the quantified range of expr under the problem's prefix.
-
-    Affine expressions (without supplied rows) are solved exactly, with
-    inner == outer; an empty exact range reports both bounds empty.  All
-    other cases use contribution-row assembly; supplied rows replace the
-    computed ones and force that path.
-    """
-    center_env = problem.center_env()
-    fc = eval_interval(expr, center_env)
-
-    if supplied_rows is None:
-        affine = affine_coefficients(expr)
-        if affine is not None:
-            delta0, coeffs = affine
-            exact = exact_affine_range(delta0, coeffs, problem)
-            rows = contribution_rows(expr, problem)
-            if exact is None:
-                return ScalarResult(EMPTY, EMPTY, fc, rows, "exact-affine")
-            lo, hi = exact
-            in_lo, in_hi = frac_to_float_up(lo), frac_to_float_down(hi)
-            inner = Interval(in_lo, in_hi) if in_lo <= in_hi else EMPTY
-            outer = Interval(frac_to_float_down(lo), frac_to_float_up(hi))
-            return ScalarResult(inner, outer, fc, rows, "exact-affine")
-        rows = contribution_rows(expr, problem)
-    else:
-        rows = dict(supplied_rows)
-
-    pairs = problem.normalized_pairs()
-    names = [v.name for v in problem.variables]
-    got = assemble_bounds(fc, rows, pairs, names)
-    return ScalarResult(
-        got.inner,
-        got.outer,
-        fc,
-        rows,
-        "mean-value",
-        got.inner_failed_pair,
-        got.outer_failed_pair,
-    )
+    """Bound the quantified range of expr under the problem's prefix."""
+    return assemble(prepare(problem, expr, supplied_rows), problem)

@@ -11,6 +11,11 @@ and only the variables with pi = j stay existential.  The per-component
 scalar inner bounds on these rewritten prefixes multiply to a guaranteed
 inner box of the vector set.
 
+Each output is prepared once per solve (center value, contribution rows,
+affine form; see scalar.prepare) and assembled once per prefix it is bounded
+under: the original prefix for the outer bound, and one rewritten prefix per
+scored assignment and for the final inner bound.
+
 Assignment search:
   * exhaustive — score every assignment (components^existentials), keep the
     one maximizing (number of nonempty components, total inner width), ties
@@ -29,20 +34,28 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exprs import Expr, eval_interval
-from .intervals import EMPTY, Interval, MaybeInterval, frac_to_float_down, frac_to_float_up, is_empty
-from .problem import Block, QuantifiedProblem, Quantifier, normalize_blocks
+# eval_interval, affine_coefficients, assemble_bounds, contribution_rows,
+# exact_affine_range and solve_scalar are not called here: perfbench/spans.py
+# traces them under these names and aborts when one is missing.
+from .exprs import eval_interval
+from .intervals import Interval, MaybeInterval, is_empty
+from .problem import Block, QuantifiedProblem, Quantifier
 from .scalar import (
     ZERO_ROW,
     ContributionRow,
+    PreparedOutput,
+    ScalarResult,
     affine_coefficients,
+    assemble,
     assemble_bounds,
     contribution_rows,
     exact_affine_range,
+    prepare,
     solve_scalar,
 )
 
 __all__ = [
+    "OutputError",
     "ComponentResult",
     "VectorResult",
     "existential_order",
@@ -105,57 +118,39 @@ def derived_blocks(
 
 
 # ---------------------------------------------------------------------------
-# Fast per-assignment inner evaluation (shared by search and final solve)
+# Prepared outputs, assembled once per prefix
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class _ComponentCache:
-    name: str
-    expr: Expr
-    fc: Interval
-    rows: dict[str, ContributionRow]
-    affine: tuple[Fraction, dict[str, Fraction]] | None  # None -> row assembly
+class OutputError(ValueError):
+    """One output cannot be bounded (e.g. its bounds overflow); the message
+    names the output."""
 
 
-def _build_caches(
+def _prepare(
     problem: QuantifiedProblem, supplied: SuppliedRows | None
-) -> list[_ComponentCache]:
-    center_env = problem.center_env()
-    caches: list[_ComponentCache] = []
+) -> list[tuple[PreparedOutput, ScalarResult]]:
+    """Each output prepared and assembled on the original prefix; a failure
+    names the output."""
+    solved = []
     for out in problem.outputs:
-        fc = eval_interval(out.expr, center_env)
-        if supplied is not None and out.name in supplied:
-            rows = dict(supplied[out.name])
-            affine = None  # supplied rows force row assembly
-        else:
-            rows = contribution_rows(out.expr, problem)
-            affine = affine_coefficients(out.expr)
-        caches.append(_ComponentCache(out.name, out.expr, fc, rows, affine))
-    return caches
+        rows = None if supplied is None else supplied.get(out.name)
+        try:
+            prepared = prepare(problem, out.expr, rows)
+            solved.append((prepared, assemble(prepared, problem)))
+        except ValueError as exc:
+            raise OutputError(f"output {out.name!r}: {exc}") from exc
+    return solved
 
 
-def _paired(blocks: Sequence[Block]) -> tuple[tuple[Block, Block], ...]:
-    blocks = normalize_blocks(blocks)
-    return tuple((blocks[2 * k], blocks[2 * k + 1]) for k in range(len(blocks) // 2))
-
-
-def _component_inner(
-    problem: QuantifiedProblem,
-    cache: _ComponentCache,
-    component: int,
-    assignment: Mapping[str, int],
-    names: Sequence[str],
-) -> MaybeInterval:
-    blocks = derived_blocks(problem, component, assignment)
-    if cache.affine is not None:
-        delta0, coeffs = cache.affine
-        exact = exact_affine_range(delta0, coeffs, problem.with_blocks(blocks))
-        if exact is None:
-            return EMPTY
-        lo, hi = frac_to_float_up(exact[0]), frac_to_float_down(exact[1])
-        return Interval(lo, hi) if lo <= hi else EMPTY
-    return assemble_bounds(cache.fc, cache.rows, _paired(blocks), names).inner
+def _inners(
+    problem: QuantifiedProblem, prepared: Sequence[PreparedOutput], assignment: Mapping[str, int]
+) -> tuple[MaybeInterval, ...]:
+    """Each component's inner bound on its rewritten prefix."""
+    return tuple(
+        assemble(p, problem.with_blocks(derived_blocks(problem, j, assignment))).inner
+        for j, p in enumerate(prepared)
+    )
 
 
 def inner_for_assignment(
@@ -164,12 +159,7 @@ def inner_for_assignment(
     supplied: SuppliedRows | None = None,
 ) -> tuple[MaybeInterval, ...]:
     """Per-component inner intervals under a specific existential assignment."""
-    caches = _build_caches(problem, supplied)
-    names = [v.name for v in problem.variables]
-    return tuple(
-        _component_inner(problem, cache, j, assignment, names)
-        for j, cache in enumerate(caches)
-    )
+    return _inners(problem, [p for p, _ in _prepare(problem, supplied)], assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -189,20 +179,13 @@ def _score(inners: Sequence[MaybeInterval]) -> tuple[int, Fraction]:
 
 def _exhaustive_assignment(
     problem: QuantifiedProblem,
-    caches: Sequence[_ComponentCache],
+    prepared: Sequence[PreparedOutput],
     exist_names: Sequence[str],
 ) -> dict[str, int]:
-    names = [v.name for v in problem.variables]
-    m = len(caches)
     best_vec: tuple[int, ...] | None = None
     best_score: tuple[int, Fraction] | None = None
-    for vec in itertools.product(range(m), repeat=len(exist_names)):
-        assignment = dict(zip(exist_names, vec))
-        inners = [
-            _component_inner(problem, cache, j, assignment, names)
-            for j, cache in enumerate(caches)
-        ]
-        score = _score(inners)
+    for vec in itertools.product(range(len(prepared)), repeat=len(exist_names)):
+        score = _score(_inners(problem, prepared, dict(zip(exist_names, vec))))
         if best_score is None or score > best_score:
             best_score = score
             best_vec = vec
@@ -212,7 +195,7 @@ def _exhaustive_assignment(
 
 def _greedy_assignment(
     problem: QuantifiedProblem,
-    caches: Sequence[_ComponentCache],
+    prepared: Sequence[PreparedOutput],
     exist_names: Sequence[str],
 ) -> dict[str, int]:
     universal = [
@@ -222,18 +205,18 @@ def _greedy_assignment(
         for name in block.names
     ]
 
-    def row_width(cache: _ComponentCache, name: str, inner: bool) -> Fraction:
-        row = cache.rows.get(name, ZERO_ROW)
+    def row_width(p: PreparedOutput, name: str, inner: bool) -> Fraction:
+        row = p.rows.get(name, ZERO_ROW)
         iv = row.inner if inner else row.outer
         return Fraction(iv.hi) - Fraction(iv.lo)
 
     deficit = [
-        sum((row_width(cache, u, inner=False) for u in universal), Fraction(0))
-        for cache in caches
+        sum((row_width(p, u, inner=False) for u in universal), Fraction(0))
+        for p in prepared
     ]
     order = sorted(
         range(len(exist_names)),
-        key=lambda i: max(row_width(c, exist_names[i], inner=True) for c in caches),
+        key=lambda i: max(row_width(p, exist_names[i], inner=True) for p in prepared),
         reverse=True,
     )
     assignment: dict[str, int] = {}
@@ -241,13 +224,13 @@ def _greedy_assignment(
         name = exist_names[i]
         best_j = 0
         best_gain: Fraction | None = None
-        for j, cache in enumerate(caches):
-            gain = min(row_width(cache, name, inner=True), deficit[j])
+        for j, p in enumerate(prepared):
+            gain = min(row_width(p, name, inner=True), deficit[j])
             if best_gain is None or gain > best_gain:
                 best_gain = gain
                 best_j = j
         assignment[name] = best_j
-        deficit[best_j] -= row_width(caches[best_j], name, inner=True)
+        deficit[best_j] -= row_width(prepared[best_j], name, inner=True)
     return assignment
 
 
@@ -271,9 +254,10 @@ def solve_vector(
     component index, covering every existential variable) bypasses the
     search entirely.
     """
-    caches = _build_caches(problem, supplied)
+    solved = _prepare(problem, supplied)
+    prepared = [p for p, _ in solved]
     exist_names = existential_order(problem)
-    m = len(caches)
+    m = len(prepared)
 
     count = m ** len(exist_names) if m > 0 else 0
     if strategy not in ("auto", "exhaustive", "greedy"):
@@ -299,31 +283,27 @@ def solve_vector(
         assignment = {name: 0 for name in exist_names}
         used = "exhaustive"
     elif strategy == "greedy" or (strategy == "auto" and count > exhaustive_limit):
-        assignment = _greedy_assignment(problem, caches, exist_names)
+        assignment = _greedy_assignment(problem, prepared, exist_names)
         used = "greedy"
     else:
-        assignment = _exhaustive_assignment(problem, caches, exist_names)
+        assignment = _exhaustive_assignment(problem, prepared, exist_names)
         used = "exhaustive"
 
     components: list[ComponentResult] = []
-    for j, (out, cache) in enumerate(zip(problem.outputs, caches)):
-        supplied_j = dict(supplied[out.name]) if supplied is not None and out.name in supplied else None
-        outer_solve = solve_scalar(problem.with_outputs([out]), out.expr, supplied_j)
+    for j, (out, (p, outer)) in enumerate(zip(problem.outputs, solved)):
         derived = derived_blocks(problem, j, assignment)
-        inner_solve = solve_scalar(
-            problem.with_blocks(derived).with_outputs([out]), out.expr, supplied_j
-        )
+        inner = assemble(p, problem.with_blocks(derived))
         components.append(
             ComponentResult(
                 name=out.name,
-                inner=inner_solve.inner,
-                outer=outer_solve.outer,
-                center_value=outer_solve.center_value,
-                rows=outer_solve.rows,
-                method=outer_solve.method,
+                inner=inner.inner,
+                outer=outer.outer,
+                center_value=p.fc,
+                rows=p.rows,
+                method=outer.method,
                 derived=derived,
-                inner_failed_pair=inner_solve.inner_failed_pair,
-                outer_failed_pair=outer_solve.outer_failed_pair,
+                inner_failed_pair=inner.inner_failed_pair,
+                outer_failed_pair=outer.outer_failed_pair,
             )
         )
     return VectorResult(tuple(components), assignment, used)

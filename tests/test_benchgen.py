@@ -67,15 +67,17 @@ class TestMotionFamily:
         assert len(p.variables) == 3 + 2 * k
         names = [v.name for v in p.variables]
         assert names[0] == "x0" and names[1] == "theta0" and names[-1] == "delta"
-        assert p.variable("x0").domain == Interval(-0.1, 0.1)
-        assert p.variable("theta0").domain == Interval(-0.01, 0.01)
+        spec = {v.name: v for v in p.variables}
+        quantifier = {n: b.quantifier for b in p.blocks for n in b.names}
+        assert spec["x0"].domain == Interval(-0.1, 0.1)
+        assert spec["theta0"].domain == Interval(-0.01, 0.01)
         for i in range(1, k + 1):
-            assert p.variable(f"a{i}").domain == Interval(-0.01, 0.01)
-            assert p.variable(f"b{i}").domain == Interval(-0.01, 0.01)
-            assert p.quantifier_of(f"a{i}") is EX
-            assert p.quantifier_of(f"b{i}") is FA
+            assert spec[f"a{i}"].domain == Interval(-0.01, 0.01)
+            assert spec[f"b{i}"].domain == Interval(-0.01, 0.01)
+            assert quantifier[f"a{i}"] is EX
+            assert quantifier[f"b{i}"] is FA
         slack = 0.005 * (k + 1)
-        assert p.variable("delta").domain == Interval(-slack, slack)
+        assert spec["delta"].domain == Interval(-slack, slack)
         assert len(p.normalized_pairs()) == k + 1
 
     def test_deterministic(self):

@@ -208,6 +208,42 @@ class TestInputErrors:
             "sampling budget exceeded",
         )
 
+    def test_deeply_nested_expression(self, capsys, write_problem):
+        path = write_problem(
+            {
+                "schema": 1,
+                "blocks": [{"quantifier": "exists"}],
+                "variables": [{"name": "x", "block": 0, "domain": [0, 1]}],
+                "outputs": [{"name": "f", "expr": "(" * 3000 + "x" + ")" * 3000}],
+            }
+        )
+        err = self.check_exit_3(capsys, ["solve", path], "nested too deeply")
+        assert path in err
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "x*1e300*1e300",  # the enclosure over the box overflows
+            "1e308*x*sin(y)",  # only the sum of the contribution rows overflows
+        ],
+    )
+    def test_overflow_names_output_and_file(self, capsys, write_problem, expr):
+        path = write_problem(
+            {
+                "schema": 1,
+                "blocks": [{"quantifier": "exists"}],
+                "variables": [
+                    {"name": "x", "block": 0, "domain": [-1, 1]},
+                    {"name": "y", "block": 0, "domain": [-1, 1]},
+                ],
+                "outputs": [{"name": "fine", "expr": "x"}, {"name": "big", "expr": expr}],
+            }
+        )
+        err = self.check_exit_3(capsys, ["solve", path], "must be finite")
+        assert f"{path}: output 'big': " in err
+        assert "internal error" not in err
+
     def test_gen_rejects_k_zero(self, capsys):
         self.check_exit_3(capsys, ["gen", "linear", "0"], "k")
 

@@ -114,6 +114,10 @@ class TestParseErrors:
         assert exc.value.offset == 0
         assert "overflow" in str(exc.value)
 
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse("(" * 3000 + "x" + ")" * 3000)
+
     def test_trailing_input(self):
         with pytest.raises(ParseError) as exc:
             parse("x 5")

@@ -149,19 +149,9 @@ class TestQuantifiedProblemValidation:
 class TestViews:
     def test_lookup_and_dict_views(self):
         p = _problem()
-        assert p.variable("y").domain == Interval(0.0, 2.0)
-        with pytest.raises(KeyError):
-            p.variable("nope")
         assert p.domains() == {"x": Interval(-1.0, 1.0), "y": Interval(0.0, 2.0)}
         assert p.centers() == {"x": 0.0, "y": 1.0}
         assert p.center_env() == {"x": Interval(0.0, 0.0), "y": Interval(1.0, 1.0)}
-
-    def test_quantifier_of(self):
-        p = _problem()
-        assert p.quantifier_of("x") is EX
-        assert p.quantifier_of("y") is FA
-        with pytest.raises(KeyError):
-            p.quantifier_of("nope")
 
     def test_normalized_pairs(self):
         p = _problem()

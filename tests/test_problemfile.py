@@ -46,8 +46,8 @@ class TestHappyPath:
         loaded = parse_problem(base_doc())
         p = loaded.problem
         assert [v.name for v in p.variables] == ["x", "y"]
-        assert p.quantifier_of("x") is Quantifier.EXISTS
-        assert p.quantifier_of("y") is Quantifier.FORALL
+        quantifier = {n: b.quantifier for b in p.blocks for n in b.names}
+        assert quantifier == {"x": Quantifier.EXISTS, "y": Quantifier.FORALL}
         assert loaded.supplied is None
         assert loaded.options.pinned_assignment is None
 
@@ -173,7 +173,8 @@ class TestVariablesSchema:
         doc = base_doc()
         doc["variables"][0]["domain"] = [0.5, 0.5]
         loaded = parse_problem(doc)
-        assert loaded.problem.variable("x").domain == Interval(0.5, 0.5)
+        spec = {v.name: v for v in loaded.problem.variables}
+        assert spec["x"].domain == Interval(0.5, 0.5)
 
 
 class TestOutputsSchema:

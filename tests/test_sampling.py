@@ -19,7 +19,6 @@ from quantrange.sampling import (
     _grid,
     ratio_pair,
     sampling_estimate,
-    tightness_ratios,
     vertex_oracle_affine,
     work_digits,
 )
@@ -206,22 +205,11 @@ class TestRatios:
         assert got == (math.inf, math.inf)
         assert ratio_pair(EMPTY, Interval(1.0, 1.0), Interval(1.0, 1.0)) == (0.0, 1.0)
 
-    def test_tightness_ratios_scalar_and_vector(self):
-        loaded = load_problem(str(FIXTURES / "nonlinear_scalar.json"))
-        res = solve_scalar(loaded.problem, loaded.problem.outputs[0].expr)
-        est = sampling_estimate(loaded.problem, SamplingConfig(points=2))
-        assert tightness_ratios(res, est) == [(0.2, 1.9)]
-
+    def test_ratio_pair_on_linear_system_components(self):
         linear = load_problem(str(FIXTURES / "linear_system.json")).problem
         vres = solve_vector(linear)
         vest = sampling_estimate(linear, SamplingConfig(points=2))
-        ratios = tightness_ratios(vres, vest)
-        assert len(ratios) == 2
-        for inner_ratio, outer_ratio in ratios:
+        assert len(vres.components) == len(vest) == 2
+        for comp, est in zip(vres.components, vest):
+            inner_ratio, outer_ratio = ratio_pair(comp.inner, comp.outer, est)
             assert 0.0 < inner_ratio <= outer_ratio
-
-    def test_tightness_ratios_length_mismatch(self):
-        loaded = load_problem(str(FIXTURES / "nonlinear_scalar.json"))
-        res = solve_scalar(loaded.problem, loaded.problem.outputs[0].expr)
-        with pytest.raises(ValueError, match="one estimate per output"):
-            tightness_ratios(res, [Interval(0.0, 1.0), Interval(0.0, 1.0)])

@@ -4,13 +4,17 @@ and the exhaustive/greedy assignment searches."""
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from quantrange.exprs import parse
 from quantrange.intervals import EMPTY, Interval, is_empty
 from quantrange.problem import Block, Output, QuantifiedProblem, Quantifier, VariableSpec
 from quantrange.problemfile import load_problem
+from quantrange.scalar import solve_scalar
 from quantrange.vectorsolve import (
+    OutputError,
     derived_blocks,
     existential_order,
     inner_for_assignment,
@@ -215,3 +219,66 @@ class TestStrategySelection:
         assert res.strategy_used == "exhaustive"
         assert set(res.assignment.values()) == {0}
         assert res.components[0].inner == Interval(-13.0, 13.0)
+
+
+FIXTURE_FILES = (
+    "dubbins_flow.json",
+    "dubbins_joint.json",
+    "dubbins_taylor.json",
+    "linear_system.json",
+    "nonlinear_scalar.json",
+)
+
+
+@pytest.mark.parametrize("fixture", FIXTURE_FILES)
+def test_each_output_is_prepared_at_most_once(fixture, monkeypatch):
+    """The per-output work runs once per output, wherever it is reached from."""
+    names = ("eval_grad", "eval_interval", "contribution_rows", "affine_coefficients")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    modules = [m for key, m in list(sys.modules.items()) if key.split(".")[0] == "quantrange"]
+    for module in modules:
+        for name in names:
+            fn = getattr(module, name, None)
+            if fn is not None:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    loaded = load_problem(str(FIXTURES / fixture))
+    solve_vector(loaded.problem, supplied=loaded.supplied)
+    n = len(loaded.problem.outputs)
+    assert all(count <= n for count in calls.values()), calls
+
+
+@pytest.mark.parametrize("fixture", FIXTURE_FILES)
+def test_components_match_scalar_solves_bit_for_bit(fixture):
+    """Outer fields match solve_scalar on the original prefix, inner fields
+    match it on the component's rewritten prefix (repr tells -0.0 from 0.0)."""
+    loaded = load_problem(str(FIXTURES / fixture))
+    problem, supplied = loaded.problem, loaded.supplied
+    res = solve_vector(problem, supplied=supplied)
+    for out, comp in zip(problem.outputs, res.components):
+        rows = None if supplied is None else supplied.get(out.name)
+        ref = solve_scalar(problem, out.expr, rows)
+        got = (comp.outer, comp.outer_failed_pair, comp.method, comp.center_value, comp.rows)
+        want = (ref.outer, ref.outer_failed_pair, ref.method, ref.center_value, ref.rows)
+        assert repr(got) == repr(want), out.name
+        ref = solve_scalar(problem.with_blocks(comp.derived), out.expr, rows)
+        assert repr((comp.inner, comp.inner_failed_pair)) == repr(
+            (ref.inner, ref.inner_failed_pair)
+        ), out.name
+
+
+def test_overflowing_output_is_named():
+    p = QuantifiedProblem(
+        (VariableSpec("x", Interval(0.0, 1.0), 0.5),),
+        (_b(EX, "x"),),
+        (Output("ok", parse("x")), Output("big", parse("x*1e300*1e300"))),
+    )
+    with pytest.raises(OutputError, match=r"output 'big': interval bounds must be finite"):
+        solve_vector(p)
