@@ -17,6 +17,8 @@ from .exprs import (
     GradEnclosure,
     MissingVariable,
     ParseError,
+    Tape,
+    compile_expr,
     eval_grad,
     eval_interval,
     msin_enclosures,
@@ -83,6 +85,8 @@ __all__ = [
     "is_empty",
     "Expr",
     "parse",
+    "compile_expr",
+    "Tape",
     "to_text",
     "ParseError",
     "MissingVariable",

@@ -11,9 +11,10 @@ Exit codes: 0 success (an empty inner bound is a result, not an error),
 solve prints a human-readable table, or writes the full report as JSON with
 --json (path "-" for stdout).  Report floats use Python's shortest
 round-tripping repr, so a reloaded report reproduces identical bits.
-Sampling estimates honor a work budget of variables * log10(points) digits
-(default 7, i.e. at most ~1e7 evaluation points); requests beyond the
-budget are refused as input errors.
+Sampling estimates honor a work budget of variables * log10(points) digits,
+where variables with a point domain do not count (default 7, i.e. at most
+~1e7 evaluation points); requests beyond the budget are refused as input
+errors.
 """
 
 from __future__ import annotations
@@ -263,8 +264,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         digits = work_digits(problem, points)
         if digits > budget:
             raise InputError(
-                f"sampling budget exceeded: {len(problem.variables)} variables at "
-                f"{points} points/variable needs 10^{digits:.1f} evaluations "
+                f"sampling budget exceeded: {points} points per variable (one per "
+                f"point domain) needs 10^{digits:.1f} evaluations "
                 f"(budget 10^{budget:.1f}); reduce points or raise options.sampling.budget"
             )
         try:

@@ -1,4 +1,4 @@
-"""Expression AST, text parser, interval evaluation, and interval gradients.
+"""Expression AST, text parser, and the compiled tape behind every evaluator.
 
 Grammar (infix, precedence climbing):
 
@@ -16,6 +16,14 @@ msin(u, v) is the continuously extended divided difference
 differentiates through sound enclosures over hull(u, u+v), so a domain
 containing v = 0 needs no special casing downstream.
 
+An expression is compiled once into a Tape: its distinct nodes in
+topological order, each an opcode with its child slots (shared subtrees
+keep one slot).  Point, interval and gradient evaluation, the printer and
+the affine folding in `scalar` are sweeps over that one tape; each accepts
+an Expr too and compiles it first, so a caller that evaluates an
+expression repeatedly compiles it once with `compile_expr` and passes the
+tape.
+
 Evaluation is containment-sound: for every point assignment drawn from the
 environment, the pointwise value (and each partial derivative) lies in the
 computed interval.  Gradients are forward-mode over interval arithmetic.
@@ -25,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from .intervals import (
     Interval,
@@ -54,10 +62,25 @@ __all__ = [
     "Cos",
     "Msin",
     "GradEnclosure",
+    "Tape",
+    "CONST",
+    "VAR",
+    "ADD",
+    "SUB",
+    "MUL",
+    "DIV",
+    "NEG",
+    "POW",
+    "SIN",
+    "COS",
+    "MSIN",
     "ParseError",
     "MissingVariable",
     "parse",
+    "compile_expr",
+    "as_tape",
     "to_text",
+    "eval_point",
     "eval_interval",
     "eval_grad",
     "msin_enclosures",
@@ -195,28 +218,85 @@ def variables_of(e: Expr) -> set[str]:
     return out
 
 
-def _fold_postorder(root: Expr, combine: Callable[[Expr, tuple[Any, ...]], Any]) -> Any:
-    """Bottom-up evaluation without Python recursion.
+# ---------------------------------------------------------------------------
+# Compiled tape
+# ---------------------------------------------------------------------------
 
-    combine(node, child_values) produces the value of node from its
-    children's values, left to right.  Shared subtree objects are combined
-    once and their value reused, so cost is linear in distinct nodes and
-    arbitrarily deep trees (e.g. long sum chains) evaluate fine.
+# Opcodes: one per node class.
+CONST, VAR, ADD, SUB, MUL, DIV, NEG, POW, SIN, COS, MSIN = range(11)
+
+_OPCODES: dict[type, int] = {
+    Const: CONST,
+    Var: VAR,
+    Add: ADD,
+    Sub: SUB,
+    Mul: MUL,
+    Div: DIV,
+    Neg: NEG,
+    Pow: POW,
+    Sin: SIN,
+    Cos: COS,
+    Msin: MSIN,
+}
+
+Instruction = tuple[int, Any, Any]
+
+
+class Tape:
+    """An expression compiled for evaluation: one instruction per distinct
+    node, children before parents, the root last.
+
+    Instruction i is (op, a, b) and its value is slot i of a sweep.  a and b
+    are the node's child slots, except that a CONST holds its value in a, a
+    VAR its name in a, and a POW its exponent in b; unused fields are None.
     """
-    done: dict[int, Any] = {}
+
+    __slots__ = ("code",)
+
+    def __init__(self, code: tuple[Instruction, ...]) -> None:
+        self.code = code
+
+
+def compile_expr(root: Expr) -> Tape:
+    """Flatten the DAG under root into a tape, without Python recursion.
+
+    Nodes are placed in the post-order of a left-to-right depth-first walk.
+    A node object reached again (a shared subtree) keeps its first slot, so
+    the tape is linear in distinct nodes and arbitrarily deep trees compile.
+    """
+    slots: dict[int, int] = {}
+    code: list[Instruction] = []
     stack: list[Expr] = [root]
     while stack:
         node = stack[-1]
-        if id(node) in done:
+        if id(node) in slots:
             stack.pop()
             continue
-        pending = [c for c in node.children() if id(c) not in done]
+        kids = node.children()
+        pending = [c for c in kids if id(c) not in slots]
         if pending:
             stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        op = _OPCODES.get(type(node))
+        if op is None:
+            raise TypeError(f"unknown node {node!r}")
+        if op == CONST:
+            ins = (CONST, node.value, None)
+        elif op == VAR:
+            ins = (VAR, node.name, None)
+        elif op == POW:
+            ins = (POW, slots[id(node.base)], node.exponent)
         else:
-            done[id(node)] = combine(node, tuple(done[id(c)] for c in node.children()))
-            stack.pop()
-    return done[id(root)]
+            ins = (op, slots[id(kids[0])], slots[id(kids[1])] if len(kids) > 1 else None)
+        slots[id(node)] = len(code)
+        code.append(ins)
+    return Tape(tuple(code))
+
+
+def as_tape(e: Expr | Tape) -> Tape:
+    """e itself when already compiled, else its tape."""
+    return e if isinstance(e, Tape) else compile_expr(e)
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +514,8 @@ def parse(text: str) -> Expr:
         raise parser.error("expression nested too deeply", parser.peek(), set()) from None
 
 
+
+
 # ---------------------------------------------------------------------------
 # Printer (round-trip: parse(to_text(parse(s))) is structurally identical)
 # ---------------------------------------------------------------------------
@@ -444,6 +526,8 @@ _PREC_NEG = 3
 _PREC_POW = 4
 _PREC_ATOM = 5
 
+_INFIX = {ADD: (" + ", _PREC_ADD), SUB: (" - ", _PREC_ADD), MUL: ("*", _PREC_MUL), DIV: ("/", _PREC_MUL)}
+
 
 def _wrap(child: tuple[str, int], parent_prec: int, right_side: bool) -> str:
     text, prec = child
@@ -452,41 +536,36 @@ def _wrap(child: tuple[str, int], parent_prec: int, right_side: bool) -> str:
     return text
 
 
-def _fmt_node(e: Expr, kids: tuple[tuple[str, int], ...]) -> tuple[str, int]:
-    if isinstance(e, Const):
-        if e.value < 0:  # print as unary minus so the printed form reparses
-            return f"-{-e.value!r}", _PREC_NEG
-        return repr(e.value), _PREC_ATOM
-    if isinstance(e, Var):
-        return e.name, _PREC_ATOM
-    if isinstance(e, (Sin, Cos)):
-        name = "sin" if isinstance(e, Sin) else "cos"
-        return f"{name}({kids[0][0]})", _PREC_ATOM
-    if isinstance(e, Msin):
-        return f"msin({kids[0][0]}, {kids[1][0]})", _PREC_ATOM
-    if isinstance(e, Neg):
-        return f"-{_wrap(kids[0], _PREC_NEG, False)}", _PREC_NEG
-    if isinstance(e, (Add, Sub)):
-        op = "+" if isinstance(e, Add) else "-"
-        text = f"{_wrap(kids[0], _PREC_ADD, False)} {op} {_wrap(kids[1], _PREC_ADD, True)}"
-        return text, _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        op = "*" if isinstance(e, Mul) else "/"
-        text = f"{_wrap(kids[0], _PREC_MUL, False)}{op}{_wrap(kids[1], _PREC_MUL, True)}"
-        return text, _PREC_MUL
-    if isinstance(e, Pow):
-        return f"{_wrap(kids[0], _PREC_POW, True)}^{e.exponent}", _PREC_POW
-    raise TypeError(f"unknown node {e!r}")  # pragma: no cover
+def _fmt(op: int, a: Any, b: Any, done: list[tuple[str, int]]) -> tuple[str, int]:
+    if op == CONST:
+        if a < 0:  # print as unary minus so the printed form reparses
+            return f"-{-a!r}", _PREC_NEG
+        return repr(a), _PREC_ATOM
+    if op == VAR:
+        return a, _PREC_ATOM
+    if op == SIN or op == COS:
+        name = "sin" if op == SIN else "cos"
+        return f"{name}({done[a][0]})", _PREC_ATOM
+    if op == MSIN:
+        return f"msin({done[a][0]}, {done[b][0]})", _PREC_ATOM
+    if op == NEG:
+        return f"-{_wrap(done[a], _PREC_NEG, False)}", _PREC_NEG
+    if op == POW:
+        return f"{_wrap(done[a], _PREC_POW, True)}^{b}", _PREC_POW
+    sym, prec = _INFIX[op]
+    return f"{_wrap(done[a], prec, False)}{sym}{_wrap(done[b], prec, True)}", prec
 
 
-def to_text(e: Expr) -> str:
-    """Render the tree as parseable infix text."""
-    text, _ = _fold_postorder(e, _fmt_node)
-    return text
+def to_text(e: Expr | Tape) -> str:
+    """Render the expression as parseable infix text."""
+    done: list[tuple[str, int]] = []
+    for op, a, b in as_tape(e).code:
+        done.append(_fmt(op, a, b, done))
+    return done[-1][0]
 
 
 # ---------------------------------------------------------------------------
-# Interval evaluation
+# Evaluation: interval, point and gradient sweeps over one tape
 # ---------------------------------------------------------------------------
 
 
@@ -510,85 +589,76 @@ def msin_enclosures(u: Interval, v: Interval) -> tuple[Interval, Interval, Inter
     return value, du, dv
 
 
-def eval_interval(e: Expr, env: Mapping[str, Interval]) -> Interval:
+def eval_interval(e: Expr | Tape, env: Mapping[str, Interval]) -> Interval:
     """Sound range enclosure of e over the box described by env.
 
     Raises:
         MissingVariable: a variable of e is not bound in env.
         DivisionByZeroInterval: a divisor enclosure contains zero.
     """
-
-    def combine(node: Expr, kids: tuple[Interval, ...]) -> Interval:
-        if isinstance(node, Const):
-            return Interval(node.value, node.value)
-        if isinstance(node, Var):
+    vals: list[Interval] = []
+    push = vals.append
+    for op, a, b in as_tape(e).code:
+        if op == VAR:
             try:
-                return env[node.name]
+                push(env[a])
             except KeyError:
-                raise MissingVariable(node.name) from None
-        if isinstance(node, Add):
-            return iv_add(kids[0], kids[1])
-        if isinstance(node, Sub):
-            return iv_sub(kids[0], kids[1])
-        if isinstance(node, Mul):
-            return iv_mul(kids[0], kids[1])
-        if isinstance(node, Div):
-            return iv_div(kids[0], kids[1])
-        if isinstance(node, Neg):
-            return iv_neg(kids[0])
-        if isinstance(node, Pow):
-            return iv_pow(kids[0], node.exponent)
-        if isinstance(node, Sin):
-            return iv_sin(kids[0])
-        if isinstance(node, Cos):
-            return iv_cos(kids[0])
-        if isinstance(node, Msin):
-            return msin_enclosures(kids[0], kids[1])[0]
-        raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+                raise MissingVariable(a) from None
+        elif op == CONST:
+            push(Interval(a, a))
+        elif op == ADD:
+            push(iv_add(vals[a], vals[b]))
+        elif op == MUL:
+            push(iv_mul(vals[a], vals[b]))
+        elif op == SUB:
+            push(iv_sub(vals[a], vals[b]))
+        elif op == POW:
+            push(iv_pow(vals[a], b))
+        elif op == DIV:
+            push(iv_div(vals[a], vals[b]))
+        elif op == NEG:
+            push(iv_neg(vals[a]))
+        elif op == SIN:
+            push(iv_sin(vals[a]))
+        elif op == COS:
+            push(iv_cos(vals[a]))
+        else:
+            push(msin_enclosures(vals[a], vals[b])[0])
+    return vals[-1]
 
-    return _fold_postorder(e, combine)
 
-
-def eval_point(e: Expr, env: Mapping[str, float]) -> float:
+def eval_point(e: Expr | Tape, env: Mapping[str, float]) -> float:
     """Plain float evaluation (used by the sampling estimator)."""
-
-    def combine(node: Expr, kids: tuple[float, ...]) -> float:
-        if isinstance(node, Const):
-            return node.value
-        if isinstance(node, Var):
+    vals: list[float] = []
+    push = vals.append
+    for op, a, b in as_tape(e).code:
+        if op == VAR:
             try:
-                return env[node.name]
+                push(env[a])
             except KeyError:
-                raise MissingVariable(node.name) from None
-        if isinstance(node, Add):
-            return kids[0] + kids[1]
-        if isinstance(node, Sub):
-            return kids[0] - kids[1]
-        if isinstance(node, Mul):
-            return kids[0] * kids[1]
-        if isinstance(node, Div):
-            return kids[0] / kids[1]
-        if isinstance(node, Neg):
-            return -kids[0]
-        if isinstance(node, Pow):
-            return kids[0] ** node.exponent
-        if isinstance(node, Sin):
-            return math.sin(kids[0])
-        if isinstance(node, Cos):
-            return math.cos(kids[0])
-        if isinstance(node, Msin):
-            u, v = kids
-            if v == 0.0:
-                return math.cos(u)
-            return (math.sin(u + v) - math.sin(u)) / v
-        raise TypeError(f"unknown node {node!r}")  # pragma: no cover
-
-    return _fold_postorder(e, combine)
-
-
-# ---------------------------------------------------------------------------
-# Forward-mode interval gradients
-# ---------------------------------------------------------------------------
+                raise MissingVariable(a) from None
+        elif op == CONST:
+            push(a)
+        elif op == ADD:
+            push(vals[a] + vals[b])
+        elif op == MUL:
+            push(vals[a] * vals[b])
+        elif op == SUB:
+            push(vals[a] - vals[b])
+        elif op == POW:
+            push(vals[a] ** b)
+        elif op == DIV:
+            push(vals[a] / vals[b])
+        elif op == NEG:
+            push(-vals[a])
+        elif op == SIN:
+            push(math.sin(vals[a]))
+        elif op == COS:
+            push(math.cos(vals[a]))
+        else:
+            u, v = vals[a], vals[b]
+            push(math.cos(u) if v == 0.0 else (math.sin(u + v) - math.sin(u)) / v)
+    return vals[-1]
 
 
 @dataclass(slots=True)
@@ -624,73 +694,67 @@ def _merge_linear(
     return out
 
 
-_GradPair = tuple[Interval, dict[str, Interval]]
-
-
-def _grad(e: Expr, env: Mapping[str, Interval]) -> _GradPair:
-    def combine(node: Expr, kids: tuple[_GradPair, ...]) -> _GradPair:
-        if isinstance(node, Const):
-            return Interval(node.value, node.value), {}
-        if isinstance(node, Var):
-            try:
-                return env[node.name], {node.name: _ONE}
-            except KeyError:
-                raise MissingVariable(node.name) from None
-        if isinstance(node, Add):
-            (va, da), (vb, db) = kids
-            return iv_add(va, vb), _merge_linear(da, db, None, None)
-        if isinstance(node, Sub):
-            (va, da), (vb, db) = kids
-            return iv_sub(va, vb), _merge_linear(da, db, None, Interval(-1.0, -1.0))
-        if isinstance(node, Mul):
-            (va, da), (vb, db) = kids
-            return iv_mul(va, vb), _merge_linear(da, db, vb, va)
-        if isinstance(node, Div):
-            (va, da), (vb, db) = kids
-            val = iv_div(va, vb)
-            # d(a/b) = (da - (a/b)*db) / b
-            out: dict[str, Interval] = {}
-            for name in da.keys() | db.keys():
-                num = da.get(name, _ZERO)
-                d_b = db.get(name)
-                if d_b is not None:
-                    num = iv_sub(num, iv_mul(val, d_b))
-                out[name] = iv_div(num, vb)
-            return val, out
-        if isinstance(node, Neg):
-            va, da = kids[0]
-            return iv_neg(va), {name: iv_neg(d) for name, d in da.items()}
-        if isinstance(node, Pow):
-            va, da = kids[0]
-            val = iv_pow(va, node.exponent)
-            if node.exponent == 0:
-                return val, {}
-            n = float(node.exponent)
-            factor = iv_mul(Interval(n, n), iv_pow(va, node.exponent - 1))
-            return val, {name: iv_mul(factor, d) for name, d in da.items()}
-        if isinstance(node, Sin):
-            va, da = kids[0]
-            factor = iv_cos(va)
-            return iv_sin(va), {name: iv_mul(factor, d) for name, d in da.items()}
-        if isinstance(node, Cos):
-            va, da = kids[0]
-            factor = iv_neg(iv_sin(va))
-            return iv_cos(va), {name: iv_mul(factor, d) for name, d in da.items()}
-        if isinstance(node, Msin):
-            (vu, du_map), (vv, dv_map) = kids
-            value, d_du, d_dv = msin_enclosures(vu, vv)
-            return value, _merge_linear(du_map, dv_map, d_du, d_dv)
-        raise TypeError(f"unknown node {node!r}")  # pragma: no cover
-
-    return _fold_postorder(e, combine)
-
-
-def eval_grad(e: Expr, env: Mapping[str, Interval]) -> GradEnclosure:
+def eval_grad(e: Expr | Tape, env: Mapping[str, Interval]) -> GradEnclosure:
     """Value and signed partial enclosures of e over env (forward mode).
 
     Each partial interval contains de/dx_j at every point of the box; the
     result maps every variable of env, with [0,0] for absent variables.
     """
-    value, sparse = _grad(e, env)
-    partials = {name: sparse.get(name, _ZERO) for name in env}
-    return GradEnclosure(value, partials)
+    vals: list[Interval] = []
+    ders: list[dict[str, Interval]] = []
+    for op, a, b in as_tape(e).code:
+        if op == VAR:
+            try:
+                val = env[a]
+            except KeyError:
+                raise MissingVariable(a) from None
+            der = {a: _ONE}
+        elif op == CONST:
+            val, der = Interval(a, a), {}
+        elif op == ADD:
+            val = iv_add(vals[a], vals[b])
+            der = _merge_linear(ders[a], ders[b], None, None)
+        elif op == SUB:
+            val = iv_sub(vals[a], vals[b])
+            der = _merge_linear(ders[a], ders[b], None, Interval(-1.0, -1.0))
+        elif op == MUL:
+            val = iv_mul(vals[a], vals[b])
+            der = _merge_linear(ders[a], ders[b], vals[b], vals[a])
+        elif op == DIV:
+            vb, da, db = vals[b], ders[a], ders[b]
+            val = iv_div(vals[a], vb)
+            # d(a/b) = (da - (a/b)*db) / b
+            der = {}
+            for name in da.keys() | db.keys():
+                num = da.get(name, _ZERO)
+                d_b = db.get(name)
+                if d_b is not None:
+                    num = iv_sub(num, iv_mul(val, d_b))
+                der[name] = iv_div(num, vb)
+        elif op == NEG:
+            val = iv_neg(vals[a])
+            der = {name: iv_neg(d) for name, d in ders[a].items()}
+        elif op == POW:
+            va = vals[a]
+            val = iv_pow(va, b)
+            if b == 0:
+                der = {}
+            else:
+                n = float(b)
+                factor = iv_mul(Interval(n, n), iv_pow(va, b - 1))
+                der = {name: iv_mul(factor, d) for name, d in ders[a].items()}
+        elif op == SIN:
+            factor = iv_cos(vals[a])
+            val = iv_sin(vals[a])
+            der = {name: iv_mul(factor, d) for name, d in ders[a].items()}
+        elif op == COS:
+            factor = iv_neg(iv_sin(vals[a]))
+            val = iv_cos(vals[a])
+            der = {name: iv_mul(factor, d) for name, d in ders[a].items()}
+        else:
+            val, d_du, d_dv = msin_enclosures(vals[a], vals[b])
+            der = _merge_linear(ders[a], ders[b], d_du, d_dv)
+        vals.append(val)
+        ders.append(der)
+    sparse = ders[-1]
+    return GradEnclosure(vals[-1], {name: sparse.get(name, _ZERO) for name in env})

@@ -1,10 +1,13 @@
 """Sampling-based estimator of quantified ranges, plus the affine vertex oracle.
 
-The estimator recurses over the normalized prefix with per-variable sample
-grids: an existential block contributes the hull over its grid assignments,
-a universal block the intersection (empty when the intersection crosses),
-and a leaf evaluates the expression in plain float arithmetic.  Each output
-component is estimated independently.
+The estimator walks the normalized prefix with per-variable sample grids:
+an existential block contributes the hull over its grid assignments, a
+universal block the intersection (empty when the intersection crosses),
+and a leaf evaluates the expression in plain float arithmetic.  The walk is
+a loop over an explicit stack, so any number of blocks works.  Each output
+component is estimated independently: it is compiled once into a tape
+(see exprs), and every leaf is one `eval_point` sweep of that tape, a few
+microseconds for a small polynomial.
 
 The result is an estimate, not a bound — finite universal grids weaken the
 adversary and finite existential grids weaken the witness.  On affine
@@ -12,7 +15,8 @@ problems, extrema sit at domain vertices, so the 2-point endpoint grid is
 exact there; that specialization serves as an independent oracle for the
 exact affine solver.
 
-Cost is points^(number of variables); callers are expected to budget it.
+Cost is points^(number of variables), where a point domain counts as one
+value, not points (see work_digits); callers are expected to budget it.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exprs import Add, Const, Expr, Mul, Var, eval_point
+from .exprs import Add, Const, Expr, Mul, Tape, Var, compile_expr, eval_point
 from .intervals import EMPTY, Interval, MaybeInterval, is_empty
-from .problem import Output, QuantifiedProblem, Quantifier
+from .problem import Block, Output, QuantifiedProblem, Quantifier
 
 __all__ = [
     "SamplingConfig",
@@ -74,63 +78,85 @@ def _grid(domain: Interval, cfg: SamplingConfig, rng: random.Random | None) -> l
 
 
 def work_digits(problem: QuantifiedProblem, points: int) -> float:
-    """log10 of the leaf-evaluation count: p * log10(points)."""
-    return len(problem.variables) * math.log10(points)
+    """log10 of the leaf-evaluation count: points values per variable, except
+    that a point domain's grid holds its one value."""
+    sampled = sum(1 for v in problem.variables if v.domain.lo != v.domain.hi)
+    return sampled * math.log10(points)
+
+
+class _Level:
+    """One nonempty block of the prefix while its grid assignments are
+    enumerated, with the range folded from the assignments so far."""
+
+    __slots__ = ("names", "universal", "assignments", "lo", "hi", "seen")
+
+    def __init__(self, block: Block, grids: Mapping[str, list[float]]) -> None:
+        self.names = block.names
+        self.universal = block.quantifier is Quantifier.FORALL
+        self.assignments = itertools.product(*(grids[name] for name in block.names))
+        # The fold starts from the identity of intersection or hull.
+        self.lo, self.hi = (-math.inf, math.inf) if self.universal else (math.inf, -math.inf)
+        self.seen = False
 
 
 def _estimate_component(
-    expr: Expr,
-    blocks: Sequence,
-    grids: Mapping[str, list[float]],
-    env: dict[str, float],
-    i: int,
+    tape: Tape, blocks: Sequence[Block], grids: Mapping[str, list[float]]
 ) -> tuple[float, float] | None:
-    if i == len(blocks):
-        v = eval_point(expr, env)
+    """Grid estimate of one output under the prefix; None when empty.
+
+    A loop over a stack with one level per nonempty block, so the length of
+    the prefix does not bound the Python stack.  A universal level that
+    meets an empty child range is empty itself and stops enumerating.
+    """
+    blocks = [block for block in blocks if block.names]
+    env: dict[str, float] = {}
+    if not blocks:
+        v = eval_point(tape, env)
         return (v, v)
-    block = blocks[i]
-    if not block.names:
-        return _estimate_component(expr, blocks, grids, env, i + 1)
-    lo = math.inf
-    hi = -math.inf
-    universal = block.quantifier is Quantifier.FORALL
-    if universal:
-        lo, hi = -math.inf, math.inf
-    seen = False
-    for assignment in itertools.product(*(grids[name] for name in block.names)):
-        for name, value in zip(block.names, assignment):
-            env[name] = value
-        child = _estimate_component(expr, blocks, grids, env, i + 1)
-        if child is None:
-            if universal:
-                for name in block.names:
-                    del env[name]
-                return None
-            continue
-        seen = True
-        if universal:
-            lo = max(lo, child[0])
-            hi = min(hi, child[1])
+    levels = [_Level(blocks[0], grids)]
+    while True:
+        top = levels[-1]
+        assignment = next(top.assignments, None)
+        if assignment is not None:
+            env.update(zip(top.names, assignment))
+            if len(levels) < len(blocks):
+                levels.append(_Level(blocks[len(levels)], grids))
+                continue
+            v = eval_point(tape, env)
+            got: tuple[float, float] | None = (v, v)
         else:
-            lo = min(lo, child[0])
-            hi = max(hi, child[1])
-    for name in block.names:
-        del env[name]
-    if not seen or lo > hi:
-        return None
-    return (lo, hi)
+            levels.pop()
+            got = None if not top.seen or top.lo > top.hi else (top.lo, top.hi)
+            if not levels:
+                return got
+            top = levels[-1]
+        while got is None and top.universal:
+            levels.pop()
+            if not levels:
+                return None
+            top = levels[-1]
+        if got is None:
+            continue
+        top.seen = True
+        if top.universal:
+            top.lo = max(top.lo, got[0])
+            top.hi = min(top.hi, got[1])
+        else:
+            top.lo = min(top.lo, got[0])
+            top.hi = max(top.hi, got[1])
 
 
 def sampling_estimate(
     problem: QuantifiedProblem, cfg: SamplingConfig = SamplingConfig()
 ) -> tuple[MaybeInterval, ...]:
-    """Per-output estimates of the quantified range over the sample grids."""
+    """Per-output estimates of the quantified range over the sample grids;
+    each output is compiled once and its tape evaluated at every leaf."""
     rng = random.Random(cfg.seed) if cfg.seed is not None else None
     grids = {v.name: _grid(v.domain, cfg, rng) for v in problem.variables}
     blocks = problem.normalized()
     out: list[MaybeInterval] = []
     for output in problem.outputs:
-        got = _estimate_component(output.expr, blocks, grids, {}, 0)
+        got = _estimate_component(compile_expr(output.expr), blocks, grids)
         out.append(EMPTY if got is None else Interval(got[0], got[1]))
     return tuple(out)
 

@@ -45,19 +45,21 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .exprs import (
-    Add,
-    Const,
-    Cos,
-    Div,
+    ADD,
+    CONST,
+    COS,
+    DIV,
+    MSIN,
+    MUL,
+    NEG,
+    POW,
+    SIN,
+    SUB,
+    VAR,
     Expr,
-    Msin,
-    Mul,
-    Neg,
-    Pow,
-    Sin,
-    Sub,
-    Var,
-    _fold_postorder,
+    Tape,
+    as_tape,
+    compile_expr,
     eval_grad,
     eval_interval,
 )
@@ -113,7 +115,7 @@ _ZERO_IV = Interval(0.0, 0.0)
 ZERO_ROW = ContributionRow(_ZERO_IV, _ZERO_IV)
 
 
-def contribution_rows(expr: Expr, problem: QuantifiedProblem) -> dict[str, ContributionRow]:
+def contribution_rows(expr: Expr | Tape, problem: QuantifiedProblem) -> dict[str, ContributionRow]:
     """Compute contribution rows for every declared variable of the problem.
 
     The gradient enclosure is taken over the full box; deviation radii are
@@ -249,59 +251,62 @@ def assemble_bounds(
 _AffinePair = tuple[Fraction, dict[str, Fraction]]
 
 
-def affine_coefficients(e: Expr) -> _AffinePair | None:
+def affine_coefficients(e: Expr | Tape) -> _AffinePair | None:
     """Exact (constant, {var: coefficient}) when e is affine, else None.
 
     Constant subtrees are folded in exact rational arithmetic.  Any
     trigonometric node disqualifies the tree, as its value has no exact
     rational form.
     """
+    done: list[_AffinePair | None] = []
+    for op, a, b in as_tape(e).code:
+        done.append(_affine_step(op, a, b, done))
+    return done[-1]
 
-    def combine(node: Expr, kids: tuple[_AffinePair | None, ...]) -> _AffinePair | None:
-        if isinstance(node, Const):
-            return Fraction(node.value), {}
-        if isinstance(node, Var):
-            return Fraction(0), {node.name: Fraction(1)}
-        if isinstance(node, Pow) and node.exponent == 0:
-            return Fraction(1), {}
-        if isinstance(node, (Sin, Cos, Msin)) or any(k is None for k in kids):
-            return None
-        if isinstance(node, (Add, Sub)):
-            left, right = kids
-            sign = 1 if isinstance(node, Add) else -1
-            c = left[0] + sign * right[0]
-            lin = dict(left[1])
-            for name, coeff in right[1].items():
-                lin[name] = lin.get(name, Fraction(0)) + sign * coeff
+
+def _affine_step(op: int, a, b, done: list[_AffinePair | None]) -> _AffinePair | None:
+    if op == CONST:
+        return Fraction(a), {}
+    if op == VAR:
+        return Fraction(0), {a: Fraction(1)}
+    if op == POW and b == 0:
+        return Fraction(1), {}
+    left = done[a]
+    if op in (SIN, COS, MSIN) or left is None:
+        return None
+    if op == NEG:
+        c, lin = left
+        return -c, {name: -coeff for name, coeff in lin.items()}
+    if op == POW:
+        c, lin = left
+        if b == 1:
             return c, lin
-        if isinstance(node, Neg):
-            c, lin = kids[0]
-            return -c, {name: -coeff for name, coeff in lin.items()}
-        if isinstance(node, Mul):
-            left, right = kids
-            if not left[1]:
-                scale, other = left[0], right
-            elif not right[1]:
-                scale, other = right[0], left
-            else:
-                return None  # bilinear
-            return scale * other[0], {name: scale * coeff for name, coeff in other[1].items()}
-        if isinstance(node, Div):
-            left, right = kids
-            if right[1] or right[0] == 0:
-                return None
-            inv = 1 / right[0]
-            return left[0] * inv, {name: coeff * inv for name, coeff in left[1].items()}
-        if isinstance(node, Pow):
-            c, lin = kids[0]
-            if node.exponent == 1:
-                return c, lin
-            if not lin:
-                return c**node.exponent, {}
-            return None
-        raise TypeError(f"unknown node {node!r}")  # pragma: no cover
-
-    return _fold_postorder(e, combine)
+        if not lin:
+            return c**b, {}
+        return None
+    right = done[b]
+    if right is None:
+        return None
+    if op == ADD or op == SUB:
+        sign = 1 if op == ADD else -1
+        c = left[0] + sign * right[0]
+        lin = dict(left[1])
+        for name, coeff in right[1].items():
+            lin[name] = lin.get(name, Fraction(0)) + sign * coeff
+        return c, lin
+    if op == MUL:
+        if not left[1]:
+            scale, other = left[0], right
+        elif not right[1]:
+            scale, other = right[0], left
+        else:
+            return None  # bilinear
+        return scale * other[0], {name: scale * coeff for name, coeff in other[1].items()}
+    # DIV
+    if right[1] or right[0] == 0:
+        return None
+    inv = 1 / right[0]
+    return left[0] * inv, {name: coeff * inv for name, coeff in left[1].items()}
 
 
 def exact_affine_range(
@@ -371,12 +376,14 @@ def prepare(
     expr: Expr,
     supplied_rows: Mapping[str, ContributionRow] | None = None,
 ) -> PreparedOutput:
-    """Evaluate expr once over the problem's variables; the prefix is not
-    read.  Supplied rows replace the computed ones and force row assembly."""
-    fc = eval_interval(expr, problem.center_env())
+    """Compile expr once and evaluate its tape over the problem's variables;
+    the prefix is not read.  Supplied rows replace the computed ones and
+    force row assembly."""
+    tape = compile_expr(expr)
+    fc = eval_interval(tape, problem.center_env())
     if supplied_rows is not None:
         return PreparedOutput(fc, dict(supplied_rows), None)
-    return PreparedOutput(fc, contribution_rows(expr, problem), affine_coefficients(expr))
+    return PreparedOutput(fc, contribution_rows(tape, problem), affine_coefficients(tape))
 
 
 def assemble(prepared: PreparedOutput, problem: QuantifiedProblem) -> ScalarResult:

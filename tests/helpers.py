@@ -1,4 +1,6 @@
-"""Deterministic generators shared by the property and acceptance suites.
+"""Deterministic generators shared by the property and acceptance suites,
+and tree-walking reference evaluators that the compiled tape is tested
+against.
 
 Everything here is seeded by the caller; the same rng state always yields the
 same problems, so failures reproduce exactly.
@@ -6,13 +8,19 @@ same problems, so failures reproduce exactly.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
+from typing import Any, Callable, Mapping
 
 from quantrange.exprs import (
     Add,
     Const,
     Cos,
+    Div,
     Expr,
+    GradEnclosure,
+    MissingVariable,
     Msin,
     Mul,
     Neg,
@@ -20,10 +28,22 @@ from quantrange.exprs import (
     Sin,
     Sub,
     Var,
+    msin_enclosures,
     parse,
     variables_of,
 )
-from quantrange.intervals import Interval
+from quantrange.intervals import (
+    EMPTY,
+    Interval,
+    iv_add,
+    iv_cos,
+    iv_div,
+    iv_mul,
+    iv_neg,
+    iv_pow,
+    iv_sin,
+    iv_sub,
+)
 from quantrange.problem import (
     Block,
     Output,
@@ -31,6 +51,7 @@ from quantrange.problem import (
     QuantifiedProblem,
     VariableSpec,
 )
+from quantrange.sampling import SamplingConfig, _grid
 
 
 def dyadic(rng: random.Random, denom: int, lo: int, hi: int) -> float:
@@ -126,3 +147,216 @@ def make_random_problem(rng: random.Random, n_outputs: int = 1) -> QuantifiedPro
     return QuantifiedProblem(
         blocks=blocks, variables=tuple(variables), outputs=outputs
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference evaluators: one combine per node over a post-order tree walk
+# ---------------------------------------------------------------------------
+
+
+def fold_postorder(root: Expr, combine: Callable[[Expr, tuple[Any, ...]], Any]) -> Any:
+    """Bottom-up evaluation without Python recursion.
+
+    combine(node, child_values) produces the value of node from its
+    children's values, left to right.  Shared subtree objects are combined
+    once and their value reused.
+    """
+    done: dict[int, Any] = {}
+    stack: list[Expr] = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        pending = [c for c in node.children() if id(c) not in done]
+        if pending:
+            stack.extend(reversed(pending))
+        else:
+            done[id(node)] = combine(node, tuple(done[id(c)] for c in node.children()))
+            stack.pop()
+    return done[id(root)]
+
+
+def _lookup(env: Mapping[str, Any], node: Var) -> Any:
+    try:
+        return env[node.name]
+    except KeyError:
+        raise MissingVariable(node.name) from None
+
+
+def oracle_eval_interval(e: Expr, env: Mapping[str, Interval]) -> Interval:
+    def combine(node: Expr, kids: tuple[Interval, ...]) -> Interval:
+        if isinstance(node, Const):
+            return Interval(node.value, node.value)
+        if isinstance(node, Var):
+            return _lookup(env, node)
+        if isinstance(node, Add):
+            return iv_add(kids[0], kids[1])
+        if isinstance(node, Sub):
+            return iv_sub(kids[0], kids[1])
+        if isinstance(node, Mul):
+            return iv_mul(kids[0], kids[1])
+        if isinstance(node, Div):
+            return iv_div(kids[0], kids[1])
+        if isinstance(node, Neg):
+            return iv_neg(kids[0])
+        if isinstance(node, Pow):
+            return iv_pow(kids[0], node.exponent)
+        if isinstance(node, Sin):
+            return iv_sin(kids[0])
+        if isinstance(node, Cos):
+            return iv_cos(kids[0])
+        return msin_enclosures(kids[0], kids[1])[0]
+
+    return fold_postorder(e, combine)
+
+
+def oracle_eval_point(e: Expr, env: Mapping[str, float]) -> float:
+    def combine(node: Expr, kids: tuple[float, ...]) -> float:
+        if isinstance(node, Const):
+            return node.value
+        if isinstance(node, Var):
+            return _lookup(env, node)
+        if isinstance(node, Add):
+            return kids[0] + kids[1]
+        if isinstance(node, Sub):
+            return kids[0] - kids[1]
+        if isinstance(node, Mul):
+            return kids[0] * kids[1]
+        if isinstance(node, Div):
+            return kids[0] / kids[1]
+        if isinstance(node, Neg):
+            return -kids[0]
+        if isinstance(node, Pow):
+            return kids[0] ** node.exponent
+        if isinstance(node, Sin):
+            return math.sin(kids[0])
+        if isinstance(node, Cos):
+            return math.cos(kids[0])
+        u, v = kids
+        if v == 0.0:
+            return math.cos(u)
+        return (math.sin(u + v) - math.sin(u)) / v
+
+    return fold_postorder(e, combine)
+
+
+_ZERO = Interval(0.0, 0.0)
+_ONE = Interval(1.0, 1.0)
+
+
+def _merge_linear(
+    da: dict[str, Interval],
+    db: dict[str, Interval],
+    fa: Interval | None,
+    fb: Interval | None,
+) -> dict[str, Interval]:
+    """Sparse combine fa*da + fb*db (None factor means identity)."""
+    out: dict[str, Interval] = {}
+    for name, d in da.items():
+        out[name] = d if fa is None else iv_mul(fa, d)
+    for name, d in db.items():
+        term = d if fb is None else iv_mul(fb, d)
+        prev = out.get(name)
+        out[name] = term if prev is None else iv_add(prev, term)
+    return out
+
+
+_GradPair = tuple[Interval, dict[str, Interval]]
+
+
+def _oracle_grad(e: Expr, env: Mapping[str, Interval]) -> _GradPair:
+    def combine(node: Expr, kids: tuple[_GradPair, ...]) -> _GradPair:
+        if isinstance(node, Const):
+            return Interval(node.value, node.value), {}
+        if isinstance(node, Var):
+            return _lookup(env, node), {node.name: _ONE}
+        if isinstance(node, Add):
+            (va, da), (vb, db) = kids
+            return iv_add(va, vb), _merge_linear(da, db, None, None)
+        if isinstance(node, Sub):
+            (va, da), (vb, db) = kids
+            return iv_sub(va, vb), _merge_linear(da, db, None, Interval(-1.0, -1.0))
+        if isinstance(node, Mul):
+            (va, da), (vb, db) = kids
+            return iv_mul(va, vb), _merge_linear(da, db, vb, va)
+        if isinstance(node, Div):
+            (va, da), (vb, db) = kids
+            val = iv_div(va, vb)
+            # d(a/b) = (da - (a/b)*db) / b
+            out: dict[str, Interval] = {}
+            for name in da.keys() | db.keys():
+                num = da.get(name, _ZERO)
+                d_b = db.get(name)
+                if d_b is not None:
+                    num = iv_sub(num, iv_mul(val, d_b))
+                out[name] = iv_div(num, vb)
+            return val, out
+        if isinstance(node, Neg):
+            va, da = kids[0]
+            return iv_neg(va), {name: iv_neg(d) for name, d in da.items()}
+        if isinstance(node, Pow):
+            va, da = kids[0]
+            val = iv_pow(va, node.exponent)
+            if node.exponent == 0:
+                return val, {}
+            n = float(node.exponent)
+            factor = iv_mul(Interval(n, n), iv_pow(va, node.exponent - 1))
+            return val, {name: iv_mul(factor, d) for name, d in da.items()}
+        if isinstance(node, Sin):
+            va, da = kids[0]
+            factor = iv_cos(va)
+            return iv_sin(va), {name: iv_mul(factor, d) for name, d in da.items()}
+        if isinstance(node, Cos):
+            va, da = kids[0]
+            factor = iv_neg(iv_sin(va))
+            return iv_cos(va), {name: iv_mul(factor, d) for name, d in da.items()}
+        (vu, du_map), (vv, dv_map) = kids
+        value, d_du, d_dv = msin_enclosures(vu, vv)
+        return value, _merge_linear(du_map, dv_map, d_du, d_dv)
+
+    return fold_postorder(e, combine)
+
+
+def oracle_eval_grad(e: Expr, env: Mapping[str, Interval]) -> GradEnclosure:
+    value, sparse = _oracle_grad(e, env)
+    return GradEnclosure(value, {name: sparse.get(name, _ZERO) for name in env})
+
+
+def _oracle_estimate(expr, blocks, grids, env, i):
+    if i == len(blocks):
+        v = oracle_eval_point(expr, env)
+        return (v, v)
+    block = blocks[i]
+    if not block.names:
+        return _oracle_estimate(expr, blocks, grids, env, i + 1)
+    universal = block.quantifier is Quantifier.FORALL
+    lo, hi = (-math.inf, math.inf) if universal else (math.inf, -math.inf)
+    seen = False
+    for assignment in itertools.product(*(grids[name] for name in block.names)):
+        env.update(zip(block.names, assignment))
+        child = _oracle_estimate(expr, blocks, grids, env, i + 1)
+        if child is None:
+            if universal:
+                return None
+            continue
+        seen = True
+        if universal:
+            lo, hi = max(lo, child[0]), min(hi, child[1])
+        else:
+            lo, hi = min(lo, child[0]), max(hi, child[1])
+    if not seen or lo > hi:
+        return None
+    return (lo, hi)
+
+
+def oracle_sampling_estimate(problem: QuantifiedProblem, cfg: SamplingConfig) -> tuple:
+    """The grid estimate by recursion over the normalized prefix (one
+    Python frame per block) and tree-walking point evaluation."""
+    rng = random.Random(cfg.seed) if cfg.seed is not None else None
+    grids = {v.name: _grid(v.domain, cfg, rng) for v in problem.variables}
+    out = []
+    for output in problem.outputs:
+        got = _oracle_estimate(output.expr, problem.normalized(), grids, {}, 0)
+        out.append(EMPTY if got is None else Interval(got[0], got[1]))
+    return tuple(out)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -94,6 +95,35 @@ class TestSolveJson:
         assert entry["sampling"] == [6.0, 16.25]
         assert entry["ratios"] == {"inner": 2 / 10.25, "outer": 19 / 10.25}
         assert "sampling" in report["timings"]
+
+    def test_long_prefix_of_point_domains_is_sampled(self, capsys, write_problem):
+        # 1500 alternating one-variable blocks: the estimator must not
+        # recurse once per block.
+        path = write_problem(
+            {
+                "schema": 1,
+                "blocks": [{"quantifier": ("exists", "forall")[i % 2]} for i in range(1500)],
+                "variables": [
+                    {"name": f"x{i}", "block": i, "domain": [0.5, 0.5]} for i in range(1500)
+                ],
+                "outputs": [{"name": "f", "expr": "x0 + x1"}],
+                "options": {"sampling": {"budget": 1000, "enabled": True}},
+            }
+        )
+        report = run_json_solve(capsys, path)
+        assert report["outputs"][0]["sampling"] == [1.0, 1.0]
+
+    def test_point_domains_do_not_count_against_the_budget(self, capsys, write_problem):
+        # 3 sampled variables at 5 points need 10^2.1 evaluations; the 20
+        # point domains hold one value each, so they add nothing.
+        doc = json.loads((FIXTURES / "nonlinear_scalar.json").read_text(encoding="utf-8"))
+        doc["variables"] += [
+            {"name": f"p{i}", "block": 2, "domain": [0.25, 0.25]} for i in range(20)
+        ]
+        path = write_problem(doc)
+        got = run_json_solve(capsys, path, "--sample", "points=5")["outputs"][0]["sampling"]
+        want = run_json_solve(capsys, NONLINEAR, "--sample", "points=5")["outputs"][0]["sampling"]
+        assert got == want
 
     def test_json_to_file(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
@@ -357,6 +387,14 @@ class TestBench:
         assert rows[0]["family"] == "linear" and rows[0]["k"] == "3"
 
 
+def _child_env() -> dict[str, str]:
+    """Environment in which a child interpreter imports this checkout's
+    package, whether or not it is installed."""
+    src = str(FIXTURES.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+
+
 class TestConsoleScript:
     def command(self):
         script = shutil.which("quantrange")
@@ -366,14 +404,17 @@ class TestConsoleScript:
 
     def test_help(self):
         proc = subprocess.run(
-            [*self.command(), "--help"], capture_output=True, text=True
+            [*self.command(), "--help"], capture_output=True, text=True, env=_child_env()
         )
         assert proc.returncode == 0
         assert "usage:" in proc.stdout
 
     def test_solve_fixture(self):
         proc = subprocess.run(
-            [*self.command(), "solve", NONLINEAR], capture_output=True, text=True
+            [*self.command(), "solve", NONLINEAR],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
         )
         assert proc.returncode == 0
         assert "mean-value" in proc.stdout
@@ -383,6 +424,7 @@ class TestConsoleScript:
             [sys.executable, "-m", "quantrange", "gen", "linear", "1"],
             capture_output=True,
             text=True,
+            env=_child_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["schema"] == 1

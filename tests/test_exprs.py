@@ -1,8 +1,9 @@
-"""Expression parsing, printing, and the three evaluators.
+"""Expression parsing, printing, the compiled tape, and the three evaluators.
 
 Covers the grammar (precedence, functions, integer-only exponents), byte-exact
-error reporting, print/parse round-trips, interval and point evaluation, and
-gradient enclosures checked against finite differences.
+error reporting, print/parse round-trips, interval and point evaluation,
+gradient enclosures checked against finite differences, and the tape sweeps
+checked bit for bit against the tree-walking oracles in helpers.py.
 """
 
 from __future__ import annotations
@@ -13,6 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quantrange.exprs import (
+    ADD,
+    CONST,
+    DIV,
+    MSIN,
+    MUL,
+    POW,
+    SIN,
+    SUB,
+    VAR,
     Add,
     Const,
     Cos,
@@ -26,6 +36,8 @@ from quantrange.exprs import (
     Sub,
     Var,
     MissingVariable,
+    Tape,
+    compile_expr,
     eval_grad,
     eval_interval,
     eval_point,
@@ -35,6 +47,8 @@ from quantrange.exprs import (
     variables_of,
 )
 from quantrange.intervals import DivisionByZeroInterval, Interval
+
+from helpers import oracle_eval_grad, oracle_eval_interval, oracle_eval_point
 
 
 # ---------------------------------------------------------------------------
@@ -433,3 +447,135 @@ class TestDeepTrees:
             tree = Add(tree, tree)
         assert eval_point(tree, {"x": 1.0}) == 2.0**60
         assert eval_interval(tree, {"x": Interval(1.0, 1.0)}) == Interval(2.0**60, 2.0**60)
+
+
+# ---------------------------------------------------------------------------
+# Compiled tape: structure, and every sweep against its tree-walking oracle
+# ---------------------------------------------------------------------------
+
+
+class TestTape:
+    def test_children_precede_parents_and_root_is_last(self):
+        tape = compile_expr(parse("x*2 - sin(y)"))
+        assert isinstance(tape, Tape)
+        for slot, (op, a, b) in enumerate(tape.code):
+            if op not in (CONST, VAR):
+                assert a < slot
+            if op in (ADD, SUB, MUL, DIV, MSIN):
+                assert b < slot
+        assert tape.code[-1][0] == SUB
+
+    def test_shared_subtree_gets_one_slot(self):
+        x = Var("x")
+        s = Sin(x)
+        tape = compile_expr(Add(Mul(s, s), s))
+        assert [ins[0] for ins in tape.code] == [VAR, SIN, MUL, ADD]
+        assert tape.code[2] == (MUL, 1, 1) and tape.code[3] == (ADD, 2, 1)
+
+    def test_operands_hold_value_name_and_exponent(self):
+        tape = compile_expr(parse("x^3 + 0.5"))
+        assert tape.code == ((VAR, "x", None), (POW, 0, 3), (CONST, 0.5, None), (ADD, 1, 2))
+
+    def test_sweeps_accept_the_tape_or_the_expression(self):
+        expr = parse("msin(x, y)/(2 + y^2)")
+        tape = compile_expr(expr)
+        box = {"x": Interval(0.0, 0.5), "y": Interval(-0.25, 0.25)}
+        assert eval_point(tape, {"x": 0.1, "y": 0.2}) == eval_point(expr, {"x": 0.1, "y": 0.2})
+        assert eval_interval(tape, box) == eval_interval(expr, box)
+        assert eval_grad(tape, box) == eval_grad(expr, box)
+        assert to_text(tape) == to_text(expr)
+
+
+@st.composite
+def _dag_strategy(draw):
+    """Small trees combined with repeated references to earlier nodes, so
+    subtrees are shared objects."""
+    pool = draw(st.lists(_tree_strategy(2), min_size=1, max_size=3))
+    for _ in range(draw(st.integers(1, 8))):
+        a = draw(st.sampled_from(pool))
+        b = draw(st.one_of(st.just(a), st.sampled_from(pool)))
+        kind = draw(st.sampled_from((Add, Sub, Mul, Div, Msin, Neg, Sin, Cos, Pow)))
+        if kind is Pow:
+            node = Pow(a, draw(st.integers(0, 4)))
+        elif kind in (Neg, Sin, Cos):
+            node = kind(a)
+        else:
+            node = kind(a, b)
+        pool.append(node)
+    return pool[-1]
+
+
+# Zero (divisions, msin's limit), hypothesis' edge-seeking floats, and
+# uniformly spread ones, whose products round (unlike most small edge values).
+_COORD = st.one_of(
+    st.just(0.0),
+    st.floats(-4.0, 4.0, allow_nan=False),
+    st.integers(0, 2**53).map(lambda k: k * 2.0**-50 - 4.0),
+)
+
+
+@st.composite
+def _point_env(draw):
+    env = {name: draw(st.one_of(_COORD, st.floats(allow_nan=False))) for name in "xyz"}
+    for name in draw(st.sets(st.sampled_from("xyz"), max_size=1)):
+        del env[name]
+    return env
+
+
+@st.composite
+def _box_env(draw):
+    env = {}
+    for name in "xyz":
+        a, b = draw(_COORD), draw(_COORD)
+        env[name] = Interval(min(a, b), max(a, b))
+    for name in draw(st.sets(st.sampled_from("xyz"), max_size=1)):
+        del env[name]
+    return env
+
+
+def _outcome(fn, expr, env):
+    """repr of the result (tells -0.0 from 0.0 and reads nan as nan), or the
+    type of the exception raised."""
+    try:
+        return repr(fn(expr, env))
+    except (ArithmeticError, ValueError, KeyError) as exc:
+        return type(exc)
+
+
+_SHAPES = {"tree": _tree_strategy(), "dag": _dag_strategy()}
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+class TestTapeMatchesOracles:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_point(self, shape, data):
+        expr, env = data.draw(_SHAPES[shape]), data.draw(_point_env())
+        assert _outcome(eval_point, compile_expr(expr), env) == _outcome(oracle_eval_point, expr, env)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_interval(self, shape, data):
+        expr, env = data.draw(_SHAPES[shape]), data.draw(_box_env())
+        got = _outcome(eval_interval, compile_expr(expr), env)
+        assert got == _outcome(oracle_eval_interval, expr, env)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_gradient(self, shape, data):
+        expr, env = data.draw(_SHAPES[shape]), data.draw(_box_env())
+        assert _outcome(eval_grad, compile_expr(expr), env) == _outcome(oracle_eval_grad, expr, env)
+
+
+def test_missing_variable_is_the_oracles_first():
+    expr = parse("y*q + p")
+    for fn, oracle, env in (
+        (eval_point, oracle_eval_point, {"y": 1.0}),
+        (eval_interval, oracle_eval_interval, {"y": Interval(0.0, 1.0)}),
+        (eval_grad, oracle_eval_grad, {"y": Interval(0.0, 1.0)}),
+    ):
+        with pytest.raises(MissingVariable) as got:
+            fn(compile_expr(expr), env)
+        with pytest.raises(MissingVariable) as want:
+            oracle(expr, env)
+        assert got.value.name == want.value.name == "q"

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import pytest
 
+import quantrange.exprs as exprs_mod
+import quantrange.sampling as sampling_mod
 from quantrange.exprs import parse
 from quantrange.intervals import EMPTY, Interval, is_empty
 from quantrange.problem import Block, Output, QuantifiedProblem, Quantifier, VariableSpec
@@ -26,7 +28,7 @@ from quantrange.scalar import exact_affine_range, solve_scalar
 from quantrange.vectorsolve import solve_vector
 
 from conftest import FIXTURES
-from helpers import make_affine_problem
+from helpers import make_affine_problem, make_random_problem, oracle_sampling_estimate
 
 FA = Quantifier.FORALL
 EX = Quantifier.EXISTS
@@ -54,6 +56,37 @@ class TestSamplingConfig:
         loaded = load_problem(str(FIXTURES / "nonlinear_scalar.json"))
         assert math.isclose(work_digits(loaded.problem, 41), 3 * math.log10(41))
         assert math.isclose(work_digits(loaded.problem, 10), 3.0)
+
+    def test_point_domains_count_one_value(self):
+        p = _problem(
+            "x + y + z",
+            [("x", -1.0, 1.0, 0.0), ("y", 0.5, 0.5, 0.5), ("z", 0.0, 2.0, 1.0)],
+            [_b(EX, "x", "y"), _b(FA, "z")],
+        )
+        sizes = [len(_grid(v.domain, SamplingConfig(10), None)) for v in p.variables]
+        assert sizes == [10, 1, 10]
+        assert work_digits(p, 10) == 2.0
+
+
+def test_one_tape_per_output_and_one_sweep_per_leaf(monkeypatch):
+    """The expression is compiled once per output, never per leaf, and each
+    of the 41^3 grid points is one eval_point call on the tape."""
+    calls = {"compile_expr": 0, "eval_point": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (exprs_mod, sampling_mod):
+        for name in calls:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    loaded = load_problem(str(FIXTURES / "nonlinear_scalar.json"))
+    (got,) = sampling_estimate(loaded.problem, SamplingConfig(points=41))
+    assert got == Interval(6.0, 16.25)
+    assert calls == {"compile_expr": len(loaded.problem.outputs), "eval_point": 41**3}
 
 
 class TestGrids:
@@ -116,6 +149,17 @@ class TestEstimateValues:
         (got3,) = sampling_estimate(p, SamplingConfig(points=3))
         assert got3 == Interval(0.0, 0.0)
 
+    def test_empty_range_under_a_universal_empties_the_estimate(self):
+        # for a = 1 no value of a*c is attained for every c, whatever b is,
+        # so no single value is attained for every a either
+        p = _problem(
+            "a*c + b",
+            [("a", 0.0, 1.0, 0.5), ("b", 0.0, 0.0, 0.0), ("c", -1.0, 1.0, 0.0)],
+            [_b(FA, "a"), _b(EX, "b"), _b(FA, "c")],
+        )
+        (got,) = sampling_estimate(p, SamplingConfig(points=2))
+        assert is_empty(got)
+
     def test_existential_refinement_grows_the_hull(self):
         p = _problem("sin(x) + x", [("x", -2.0, 2.0, 0.0)], [_b(EX, "x")])
         est = {
@@ -144,6 +188,17 @@ class TestEstimateValues:
         )
         got = sampling_estimate(p, SamplingConfig(points=2))
         assert got == (Interval(-1.0, 1.0), Interval(-2.0, 2.0))
+
+    def test_matches_the_recursive_oracle_on_random_problems(self):
+        rng = random.Random(2024)
+        empty = 0
+        for _ in range(150):
+            p = make_random_problem(rng, n_outputs=2)
+            cfg = SamplingConfig(points=rng.choice((2, 3, 4)))
+            got = sampling_estimate(p, cfg)
+            assert repr(got) == repr(oracle_sampling_estimate(p, cfg))
+            empty += sum(map(is_empty, got))
+        assert empty > 0  # some grid intersections cross
 
 
 class TestVertexOracle:

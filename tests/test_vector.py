@@ -232,8 +232,9 @@ FIXTURE_FILES = (
 
 @pytest.mark.parametrize("fixture", FIXTURE_FILES)
 def test_each_output_is_prepared_at_most_once(fixture, monkeypatch):
-    """The per-output work runs once per output, wherever it is reached from."""
-    names = ("eval_grad", "eval_interval", "contribution_rows", "affine_coefficients")
+    """The per-output work, compiling the expression included, runs once per
+    output, wherever it is reached from."""
+    names = ("compile_expr", "eval_grad", "eval_interval", "contribution_rows", "affine_coefficients")
     calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
