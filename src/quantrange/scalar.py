@@ -161,13 +161,16 @@ def _first_failing_pair(
 
     Pair l is fine when the universal width at l does not exceed the
     existential widths from pair l onward minus the universal widths after l.
+    One backward pass keeps that right-hand side as a running sum.
     """
-    n = len(forall_widths)
-    for l in range(n):
-        rhs = sum(exists_widths[l:], Fraction(0)) - sum(forall_widths[l + 1 :], Fraction(0))
-        if forall_widths[l] > rhs:
-            return l + 1
-    return None
+    failed = None
+    rhs = later_forall = Fraction(0)
+    for l in range(len(forall_widths) - 1, -1, -1):
+        rhs += exists_widths[l] - later_forall
+        later_forall = forall_widths[l]
+        if later_forall > rhs:
+            failed = l + 1
+    return failed
 
 
 # ---------------------------------------------------------------------------

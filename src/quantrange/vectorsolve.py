@@ -12,15 +12,18 @@ scalar inner bounds on these rewritten prefixes multiply to a guaranteed
 inner box of the vector set.
 
 Each output is prepared once per solve (center value, contribution rows,
-affine form; see scalar.prepare) and assembled once per prefix it is bounded
-under: the original prefix for the outer bound, and one rewritten prefix per
-scored assignment and for the final inner bound.
+affine form; see scalar.prepare) and assembled on the original prefix for
+its outer bound.  Component j's rewritten prefix depends only on the set of
+existentials j keeps, so its inner bound is assembled once per (j, kept
+set), shared by the search, inner_for_assignment and the final inner box.
 
 Assignment search:
   * exhaustive — score every assignment (components^existentials), keep the
-    one maximizing (number of nonempty components, total inner width), ties
-    resolved toward the lexicographically smallest assignment vector in
-    normalized-prefix variable order;
+    one maximizing (number of nonempty components, total exact inner
+    width), ties resolved toward the lexicographically smallest assignment
+    vector in normalized-prefix variable order.  For m components and e
+    existentials this costs at most m*2^e exact assemblies plus an m^e loop
+    over cached scores; exhaustive_limit still bounds m^e;
   * greedy — seed each component with its universal outer-row widths as a
     deficit, then hand out existential variables in decreasing best-row
     order to the component where min(row width, remaining deficit) is
@@ -32,7 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 # eval_interval, affine_coefficients, assemble_bounds, contribution_rows,
 # exact_affine_range and solve_scalar are not called here: perfbench/spans.py
@@ -143,23 +146,26 @@ def _prepare(
     return solved
 
 
-def _inners(
-    problem: QuantifiedProblem, prepared: Sequence[PreparedOutput], assignment: Mapping[str, int]
-) -> tuple[MaybeInterval, ...]:
-    """Each component's inner bound on its rewritten prefix."""
-    return tuple(
-        assemble(p, problem.with_blocks(derived_blocks(problem, j, assignment))).inner
-        for j, p in enumerate(prepared)
-    )
+def _kept_set_inners(
+    problem: QuantifiedProblem, prepared: Sequence[PreparedOutput], exist_names: Sequence[str]
+) -> Callable[[int, Sequence[int]], tuple]:
+    """(rewritten prefix, inner ScalarResult, nonempty, exact inner width) of
+    component j under an assignment vector (a component index per name of
+    exist_names), assembled once per (j, kept set): the rewritten prefix of
+    j depends only on which existentials j keeps."""
+    memo: dict[tuple[int, tuple[bool, ...]], tuple] = {}
 
+    def inner(j: int, vec: Sequence[int]) -> tuple:
+        key = (j, tuple(c == j for c in vec))
+        if key not in memo:
+            derived = derived_blocks(problem, j, dict(zip(exist_names, vec)))
+            res = assemble(prepared[j], problem.with_blocks(derived))
+            iv, nonempty = res.inner, not is_empty(res.inner)
+            width = Fraction(iv.hi) - Fraction(iv.lo) if nonempty else Fraction(0)
+            memo[key] = (derived, res, nonempty, width)
+        return memo[key]
 
-def inner_for_assignment(
-    problem: QuantifiedProblem,
-    assignment: Mapping[str, int],
-    supplied: SuppliedRows | None = None,
-) -> tuple[MaybeInterval, ...]:
-    """Per-component inner intervals under a specific existential assignment."""
-    return _inners(problem, [p for p, _ in _prepare(problem, supplied)], assignment)
+    return inner
 
 
 # ---------------------------------------------------------------------------
@@ -167,30 +173,17 @@ def inner_for_assignment(
 # ---------------------------------------------------------------------------
 
 
-def _score(inners: Sequence[MaybeInterval]) -> tuple[int, Fraction]:
-    nonempty = 0
-    width = Fraction(0)
-    for iv in inners:
-        if not is_empty(iv):
-            nonempty += 1
-            width += Fraction(iv.hi) - Fraction(iv.lo)
-    return nonempty, width
-
-
 def _exhaustive_assignment(
-    problem: QuantifiedProblem,
-    prepared: Sequence[PreparedOutput],
-    exist_names: Sequence[str],
+    inner: Callable[[int, Sequence[int]], tuple], m: int, exist_names: Sequence[str]
 ) -> dict[str, int]:
-    best_vec: tuple[int, ...] | None = None
-    best_score: tuple[int, Fraction] | None = None
-    for vec in itertools.product(range(len(prepared)), repeat=len(exist_names)):
-        score = _score(_inners(problem, prepared, dict(zip(exist_names, vec))))
-        if best_score is None or score > best_score:
-            best_score = score
-            best_vec = vec
-    assert best_vec is not None
-    return dict(zip(exist_names, best_vec))
+    """Each assignment's score adds up the cached parts of its components;
+    max keeps the first maximiser in product order, the smallest vector."""
+    def score(vec: tuple[int, ...]) -> tuple[int, Fraction]:
+        parts = [inner(j, vec)[2:] for j in range(m)]
+        return sum(n for n, _ in parts), sum((w for _, w in parts), Fraction(0))
+
+    best = max(itertools.product(range(m), repeat=len(exist_names)), key=score)
+    return dict(zip(exist_names, best))
 
 
 def _greedy_assignment(
@@ -222,14 +215,11 @@ def _greedy_assignment(
     assignment: dict[str, int] = {}
     for i in order:
         name = exist_names[i]
-        best_j = 0
-        best_gain: Fraction | None = None
-        for j, p in enumerate(prepared):
-            gain = min(row_width(p, name, inner=True), deficit[j])
-            if best_gain is None or gain > best_gain:
-                best_gain = gain
-                best_j = j
-        assignment[name] = best_j
+        # max keeps the first component of largest gain
+        assignment[name] = best_j = max(
+            range(len(prepared)),
+            key=lambda j: min(row_width(prepared[j], name, inner=True), deficit[j]),
+        )
         deficit[best_j] -= row_width(prepared[best_j], name, inner=True)
     return assignment
 
@@ -258,6 +248,7 @@ def solve_vector(
     prepared = [p for p, _ in solved]
     exist_names = existential_order(problem)
     m = len(prepared)
+    inner = _kept_set_inners(problem, prepared, exist_names)
 
     count = m ** len(exist_names) if m > 0 else 0
     if strategy not in ("auto", "exhaustive", "greedy"):
@@ -275,7 +266,7 @@ def solve_vector(
         used = "pinned"
     elif strategy == "exhaustive" and count > exhaustive_limit:
         raise ValueError(
-            f"exhaustive assignment search needs {count} evaluations, "
+            f"exhaustive assignment search covers {count} assignments, "
             f"over the limit of {exhaustive_limit}; use the greedy strategy "
             f"or raise the limit"
         )
@@ -286,24 +277,33 @@ def solve_vector(
         assignment = _greedy_assignment(problem, prepared, exist_names)
         used = "greedy"
     else:
-        assignment = _exhaustive_assignment(problem, prepared, exist_names)
+        assignment = _exhaustive_assignment(inner, m, exist_names)
         used = "exhaustive"
 
+    vec = [assignment[n] for n in exist_names]
     components: list[ComponentResult] = []
     for j, (out, (p, outer)) in enumerate(zip(problem.outputs, solved)):
-        derived = derived_blocks(problem, j, assignment)
-        inner = assemble(p, problem.with_blocks(derived))
+        derived, got, _, _ = inner(j, vec)
         components.append(
             ComponentResult(
                 name=out.name,
-                inner=inner.inner,
+                inner=got.inner,
                 outer=outer.outer,
                 center_value=p.fc,
                 rows=p.rows,
                 method=outer.method,
                 derived=derived,
-                inner_failed_pair=inner.inner_failed_pair,
+                inner_failed_pair=got.inner_failed_pair,
                 outer_failed_pair=outer.outer_failed_pair,
             )
         )
     return VectorResult(tuple(components), assignment, used)
+
+
+def inner_for_assignment(
+    problem: QuantifiedProblem,
+    assignment: Mapping[str, int],
+    supplied: SuppliedRows | None = None,
+) -> tuple[MaybeInterval, ...]:
+    """Per-component inner intervals under an existential assignment, checked like a pinned one."""
+    return tuple(c.inner for c in solve_vector(problem, supplied, pinned=assignment).components)

@@ -1,6 +1,7 @@
 """Deterministic generators shared by the property and acceptance suites,
-and tree-walking reference evaluators that the compiled tape is tested
-against.
+tree-walking reference evaluators that the compiled tape is tested against,
+and the quadratic alternation check and brute-force assignment search that
+the solvers' fast paths are tested against.
 
 Everything here is seeded by the caller; the same rng state always yields the
 same problems, so failures reproduce exactly.
@@ -11,7 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Any, Callable, Mapping
+from fractions import Fraction
+from typing import Any, Callable, Mapping, Sequence
 
 from quantrange.exprs import (
     Add,
@@ -35,6 +37,7 @@ from quantrange.exprs import (
 from quantrange.intervals import (
     EMPTY,
     Interval,
+    is_empty,
     iv_add,
     iv_cos,
     iv_div,
@@ -52,6 +55,8 @@ from quantrange.problem import (
     VariableSpec,
 )
 from quantrange.sampling import SamplingConfig, _grid
+from quantrange.scalar import PreparedOutput, assemble
+from quantrange.vectorsolve import derived_blocks
 
 
 def dyadic(rng: random.Random, denom: int, lo: int, hi: int) -> float:
@@ -360,3 +365,41 @@ def oracle_sampling_estimate(problem: QuantifiedProblem, cfg: SamplingConfig) ->
         got = _oracle_estimate(output.expr, problem.normalized(), grids, {}, 0)
         out.append(EMPTY if got is None else Interval(got[0], got[1]))
     return tuple(out)
+
+
+def oracle_first_failing_pair(
+    forall_widths: Sequence[Fraction], exists_widths: Sequence[Fraction]
+) -> int | None:
+    """The alternation check with every suffix summed afresh (quadratic)."""
+    n = len(forall_widths)
+    for l in range(n):
+        rhs = sum(exists_widths[l:], Fraction(0)) - sum(forall_widths[l + 1 :], Fraction(0))
+        if forall_widths[l] > rhs:
+            return l + 1
+    return None
+
+
+def oracle_exhaustive_assignment(
+    problem: QuantifiedProblem,
+    prepared: Sequence[PreparedOutput],
+    exist_names: Sequence[str],
+) -> dict[str, int]:
+    """Brute-force search: every component of every assignment is assembled
+    afresh, and a later assignment wins only with a strictly larger
+    (nonempty components, total inner width)."""
+    best_vec: tuple[int, ...] | None = None
+    best_score: tuple[int, Fraction] | None = None
+    for vec in itertools.product(range(len(prepared)), repeat=len(exist_names)):
+        assignment = dict(zip(exist_names, vec))
+        nonempty, width = 0, Fraction(0)
+        for j, p in enumerate(prepared):
+            derived = derived_blocks(problem, j, assignment)
+            iv = assemble(p, problem.with_blocks(derived)).inner
+            if not is_empty(iv):
+                nonempty += 1
+                width += Fraction(iv.hi) - Fraction(iv.lo)
+        if best_score is None or (nonempty, width) > best_score:
+            best_score = (nonempty, width)
+            best_vec = vec
+    assert best_vec is not None
+    return dict(zip(exist_names, best_vec))

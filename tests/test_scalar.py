@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantrange.exprs import parse
 from quantrange.intervals import EMPTY, Interval, is_empty
@@ -19,6 +20,7 @@ from quantrange.scalar import (
     ZERO_ROW,
     AssembledBounds,
     ContributionRow,
+    _first_failing_pair,
     affine_coefficients,
     assemble_bounds,
     contribution_rows,
@@ -27,6 +29,7 @@ from quantrange.scalar import (
 )
 
 from conftest import FIXTURES
+from helpers import oracle_first_failing_pair
 
 FA = Quantifier.FORALL
 EX = Quantifier.EXISTS
@@ -182,6 +185,38 @@ class TestAssembleBounds:
         got = assemble_bounds(fc, rows, pairs, ["u", "x"])
         assert got.inner == Interval(0.0, 2.0)
         assert got.outer == Interval(0.0, 2.0)
+
+
+# Few distinct values, zero among them, so that conditions often hold with
+# equality; a few odd denominators keep the sums genuinely rational.
+_WIDTH = st.sampled_from([0, 0, 1, 1, 2, 3]).map(Fraction) | st.fractions(0, 4, max_denominator=7)
+
+
+class TestFirstFailingPair:
+    @pytest.mark.parametrize(
+        "forall, exists, want",
+        [
+            ([], [], None),
+            ([1], [1], None),  # equality holds
+            ([1, 1], [1, 1], None),  # equality at both pairs
+            ([0, 2], [1, 1], 2),  # pair 1 holds with equality, pair 2 fails
+            ([2, 0], [1, 1], None),  # pair 1 holds with equality
+            ([3, 0], [1, 1], 1),
+            ([3, 1], [1, 0], 1),  # both fail: the first is reported
+            ([0, 0, 0], [0, 0, 0], None),
+        ],
+    )
+    def test_cases(self, forall, exists, want):
+        forall, exists = [Fraction(w) for w in forall], [Fraction(w) for w in exists]
+        assert _first_failing_pair(forall, exists) == want
+        assert oracle_first_failing_pair(forall, exists) == want
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_quadratic_oracle(self, data):
+        pairs = data.draw(st.lists(st.tuples(_WIDTH, _WIDTH), max_size=8))
+        forall, exists = [f for f, _ in pairs], [e for _, e in pairs]
+        assert _first_failing_pair(forall, exists) == oracle_first_failing_pair(forall, exists)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,16 @@ from __future__ import annotations
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from quantrange import vectorsolve
 from quantrange.exprs import parse
 from quantrange.intervals import EMPTY, Interval, is_empty
 from quantrange.problem import Block, Output, QuantifiedProblem, Quantifier, VariableSpec
 from quantrange.problemfile import load_problem
-from quantrange.scalar import solve_scalar
+from quantrange.scalar import ZERO_ROW, ContributionRow, prepare, solve_scalar
 from quantrange.vectorsolve import (
+    ComponentResult,
     OutputError,
     derived_blocks,
     existential_order,
@@ -22,6 +25,7 @@ from quantrange.vectorsolve import (
 )
 
 from conftest import FIXTURES
+from helpers import oracle_exhaustive_assignment
 
 FA = Quantifier.FORALL
 EX = Quantifier.EXISTS
@@ -91,6 +95,12 @@ class TestLinearSystemSolve:
         assert is_empty(got[0])
         assert got[1] == Interval(-5.0, 3.0)
 
+    def test_inner_for_assignment_is_checked_like_a_pinned_one(self, linear_system):
+        with pytest.raises(ValueError, match="misses existential"):
+            inner_for_assignment(linear_system, {"x1": 0})
+        with pytest.raises(ValueError, match="unknown components"):
+            inner_for_assignment(linear_system, {"x1": 0, "x3": 2, "x4": 0})
+
     def test_winner_matches_inner_for_assignment(self, linear_system):
         got = inner_for_assignment(linear_system, {"x1": 0, "x3": 0, "x4": 1})
         assert got == (Interval(-1.0, 5.0), Interval(-3.0, 1.0))
@@ -122,7 +132,7 @@ class TestLinearSystemSolve:
             solve_vector(linear_system, pinned={"x1": 0, "x3": 2, "x4": 0})
 
     def test_exhaustive_over_limit_raises(self, linear_system):
-        with pytest.raises(ValueError, match="over the limit"):
+        with pytest.raises(ValueError, match="covers 8 assignments, over the limit of 7"):
             solve_vector(linear_system, strategy="exhaustive", exhaustive_limit=7)
         solve_vector(linear_system, strategy="exhaustive", exhaustive_limit=8)
 
@@ -283,3 +293,111 @@ def test_overflowing_output_is_named():
     )
     with pytest.raises(OutputError, match=r"output 'big': interval bounds must be finite"):
         solve_vector(p)
+
+
+def test_joint_fixture_assembles_once_per_kept_set(monkeypatch):
+    """The search assembles each (component, kept set) once: m*2^e inner
+    assemblies at most, plus the m outer and m final ones."""
+    original = vectorsolve.assemble
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(vectorsolve, "assemble", counted)
+    loaded = load_problem(str(FIXTURES / "dubbins_joint.json"))
+    res = solve_vector(loaded.problem, supplied=loaded.supplied)
+    m, e = len(res.components), len(res.assignment)
+    assert (m, e) == (3, 7)
+    assert calls[0] <= m * 2**e + 2 * m
+
+
+# ---------------------------------------------------------------------------
+# Random supplied-row problems: the memoised search against brute force
+# ---------------------------------------------------------------------------
+
+# A small palette of rows (zero among them) so that equal rows, and with
+# them tied scores, are common.
+_ROWS = (
+    ZERO_ROW,
+    ContributionRow(Interval(-0.5, 0.5), Interval(-0.5, 0.5)),
+    ContributionRow(Interval(-1.0, 1.0), Interval(-1.0, 1.0)),
+    ContributionRow(Interval(0.0, 0.25), Interval(-0.25, 0.5)),
+    ContributionRow(Interval(-0.75, 0.0), Interval(-1.0, 0.25)),
+    ContributionRow(Interval(0.0, 0.0), Interval(-0.5, 0.5)),
+)
+
+
+@st.composite
+def _prefixes(draw):
+    """Up to 5 existentials and 2 universals in random order, plus the
+    number of outputs (2 or 3)."""
+    n_exist = draw(st.integers(0, 5))
+    n_forall = draw(st.integers(0, 2))
+    names = [f"e{i}" for i in range(n_exist)] + [f"u{i}" for i in range(n_forall)]
+    order = draw(st.permutations(names))
+    blocks = tuple(_b(EX if n[0] == "e" else FA, n) for n in order)
+    variables = tuple(VariableSpec(n, Interval(-1.0, 1.0), 0.0) for n in names)
+    return variables, blocks, draw(st.sampled_from((2, 3)))
+
+
+@st.composite
+def _supplied_row_problems(draw):
+    variables, blocks, m = draw(_prefixes())
+    outputs = tuple(
+        Output(f"z{j}", parse(repr(draw(st.sampled_from((0.0, 0.25, -0.5)))))) for j in range(m)
+    )
+    supplied = {}
+    for j, out in enumerate(outputs):
+        if j and draw(st.booleans()):
+            supplied[out.name] = supplied[outputs[j - 1].name]  # equal rows
+            continue
+        rows = {v.name: draw(st.sampled_from(_ROWS)) for v in variables}
+        # a missing row counts as zero: leave some zero rows out
+        supplied[out.name] = {
+            n: r for n, r in rows.items() if r is not ZERO_ROW or draw(st.booleans())
+        }
+    return QuantifiedProblem(variables, blocks, outputs), supplied
+
+
+@given(_supplied_row_problems())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_memoised_search_matches_brute_force(case):
+    """Same assignment (tie-break included) and bit-for-bit the components
+    that per-component scalar solves give under it."""
+    problem, supplied = case
+    res = solve_vector(problem, supplied=supplied)
+    prepared = [prepare(problem, o.expr, supplied[o.name]) for o in problem.outputs]
+    want = oracle_exhaustive_assignment(problem, prepared, existential_order(problem))
+    assert res.strategy_used == "exhaustive"
+    assert res.assignment == want
+    components = []
+    for j, out in enumerate(problem.outputs):
+        outer = solve_scalar(problem, out.expr, supplied[out.name])
+        derived = derived_blocks(problem, j, want)
+        inner = solve_scalar(problem.with_blocks(derived), out.expr, supplied[out.name])
+        components.append(
+            ComponentResult(
+                out.name, inner.inner, outer.outer, outer.center_value, outer.rows,
+                outer.method, derived, inner.inner_failed_pair, outer.outer_failed_pair,
+            )
+        )
+    assert repr(res.components) == repr(tuple(components))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_derived_blocks_depend_only_on_the_kept_set(data):
+    """Two assignments that give component j the same existentials rewrite
+    j's prefix identically, wherever the others went."""
+    variables, blocks, m = data.draw(_prefixes())
+    problem = QuantifiedProblem(variables, blocks, (Output("z", parse("0")),))
+    names = existential_order(problem)
+    j = data.draw(st.integers(0, m - 1))
+    kept = {n for n in names if data.draw(st.booleans())}
+    others = st.sampled_from([c for c in range(m) if c != j])
+    first, second = (
+        {n: j if n in kept else data.draw(others) for n in names} for _ in range(2)
+    )
+    assert derived_blocks(problem, j, first) == derived_blocks(problem, j, second)
