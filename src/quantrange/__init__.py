@@ -52,10 +52,8 @@ from .problemfile import (
 )
 from .sampling import (
     EmptyEstimate,
-    SamplingConfig,
     ratio_pair,
     sampling_estimate,
-    vertex_oracle_affine,
 )
 from .scalar import (
     ContributionRow,
@@ -112,10 +110,8 @@ __all__ = [
     "derived_blocks",
     "inner_for_assignment",
     "solve_vector",
-    "SamplingConfig",
     "EmptyEstimate",
     "sampling_estimate",
-    "vertex_oracle_affine",
     "ratio_pair",
     "linear_problem",
     "motion_problem",

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 from .benchgen import linear_problem, motion_problem
 from .exprs import ParseError
-from .intervals import DivisionByZeroInterval, MaybeInterval, is_empty
+from .intervals import MaybeInterval, is_empty
 from .problem import QuantifiedProblem
 from .problemfile import (
     DomainError,
@@ -40,12 +40,11 @@ from .problemfile import (
 )
 from .sampling import (
     EmptyEstimate,
-    SamplingConfig,
     ratio_pair,
     sampling_estimate,
     work_digits,
 )
-from .vectorsolve import OutputError, VectorResult, solve_vector
+from .vectorsolve import VectorResult, solve_vector
 
 __all__ = ["main"]
 
@@ -123,10 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _iv_json(iv: MaybeInterval) -> list[float] | None:
     return None if is_empty(iv) else [iv.lo, iv.hi]
-
-
-def _iv_text(iv: MaybeInterval) -> str:
-    return "EMPTY" if is_empty(iv) else f"[{iv.lo!r}, {iv.hi!r}]"
 
 
 def build_report(
@@ -246,12 +241,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
             exhaustive_limit=limit,
             pinned=pinned_idx,
         )
-    except DivisionByZeroInterval as exc:
-        raise InputError(f"interval division by zero while solving: {exc}")
-    except OutputError as exc:
+    except ValueError as exc:  # OutputError among them: it names the output
         raise InputError(f"{args.file}: {exc}")
-    except ValueError as exc:
-        raise InputError(str(exc))
     t_solve = time.perf_counter()
 
     estimates = None
@@ -264,14 +255,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
         digits = work_digits(problem, points)
         if digits > budget:
             raise InputError(
-                f"sampling budget exceeded: {points} points per variable (one per "
+                f"{args.file}: sampling budget exceeded: {points} points per variable (one per "
                 f"point domain) needs 10^{digits:.1f} evaluations "
                 f"(budget 10^{budget:.1f}); reduce points or raise options.sampling.budget"
             )
         try:
-            estimates = sampling_estimate(problem, SamplingConfig(points=points))
-        except (ZeroDivisionError, OverflowError) as exc:
-            raise InputError(f"sampling evaluation failed: {exc}")
+            estimates = sampling_estimate(problem, points)
+        except (ArithmeticError, ValueError) as exc:  # e.g. sin(inf), a non-finite estimate
+            raise InputError(f"{args.file}: sampling evaluation failed: {exc}")
         t_sample = time.perf_counter()
 
     timings = {
@@ -317,7 +308,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             # recursion provably coincides with it on affine problems).
             inner_ratio, outer_ratio = ratio_pair(comp.inner, comp.outer, comp.outer)
         elif work_digits(problem, 2) <= _BENCH_SAMPLING_BUDGET:
-            est = sampling_estimate(problem, SamplingConfig(points=2))[0]
+            est = sampling_estimate(problem, 2)[0]
             try:
                 inner_ratio, outer_ratio = ratio_pair(comp.inner, comp.outer, est)
             except EmptyEstimate:

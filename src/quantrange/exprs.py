@@ -5,7 +5,7 @@ Grammar (infix, precedence climbing):
     expr    := term (('+' | '-') term)*
     term    := factor (('*' | '/') factor)*
     factor  := '-' factor | power
-    power   := atom ('^' nonneg-integer)?
+    power   := atom ('^' nonneg-integer)?      (at most MAX_EXPONENT)
     atom    := number | ident | func '(' expr (',' expr)* ')' | '(' expr ')'
     func    := 'sin' | 'cos' | 'msin'
     number  := decimal or scientific literal (e.g. 2, 0.5, 1.31e-7)
@@ -75,6 +75,7 @@ __all__ = [
     "COS",
     "MSIN",
     "ParseError",
+    "MAX_EXPONENT",
     "MissingVariable",
     "parse",
     "compile_expr",
@@ -318,6 +319,11 @@ class ParseError(ValueError):
 
 _FUNCTIONS = {"sin": 1, "cos": 1, "msin": 2}
 
+# Largest exponent literal the parser accepts.  Interval powers take one
+# directed product per unit of exponent, and exact constant folding grows
+# with it, so an unbounded literal means unbounded work.
+MAX_EXPONENT = 1024
+
 _ATOM_EXPECTED = {"number", "identifier", "'('", "'-'"}
 
 
@@ -442,8 +448,16 @@ class _Parser:
                     tok,
                     {"non-negative integer"},
                 )
+            # Compare digit counts first: int() refuses very long literals.
+            digits = tok.text.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise self.error(
+                    f"exponent exceeds the cap of {MAX_EXPONENT}",
+                    tok,
+                    {f"integer <= {MAX_EXPONENT}"},
+                )
             self.advance()
-            return Pow(base, int(tok.text))
+            return Pow(base, int(digits))
         return base
 
     def parse_atom(self) -> Expr:

@@ -203,17 +203,6 @@ class Interval:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    # ---- constructors ----
-
-    @classmethod
-    def point(cls, v: float) -> Interval:
-        return cls(v, v)
-
-    @classmethod
-    def symmetric(cls, r: float) -> Interval:
-        """[-r, r] for r >= 0."""
-        return cls(-r, r)
-
     # ---- basic queries ----
 
     @property
@@ -222,7 +211,9 @@ class Interval:
 
     @property
     def mid(self) -> float:
-        return (self.lo + self.hi) / 2.0
+        """Rounded midpoint; halving first when lo + hi overflows is exact."""
+        mid = (self.lo + self.hi) / 2.0
+        return mid if math.isfinite(mid) else self.lo / 2.0 + self.hi / 2.0
 
     def mig(self) -> float:
         """Minimum absolute value over the interval (0 if it contains 0)."""
@@ -242,23 +233,6 @@ class Interval:
 
     def __repr__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
-
-    # ---- arithmetic (containment-sound, outward-rounded) ----
-
-    def __add__(self, other: Interval) -> Interval:
-        return iv_add(self, other)
-
-    def __sub__(self, other: Interval) -> Interval:
-        return iv_sub(self, other)
-
-    def __mul__(self, other: Interval) -> Interval:
-        return iv_mul(self, other)
-
-    def __truediv__(self, other: Interval) -> Interval:
-        return iv_div(self, other)
-
-    def __neg__(self) -> Interval:
-        return iv_neg(self)
 
 
 class EmptyInterval:

@@ -39,9 +39,6 @@ class Quantifier(str, Enum):
     FORALL = "forall"
     EXISTS = "exists"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 @dataclass(frozen=True, slots=True)
 class Block:
@@ -159,9 +156,6 @@ class QuantifiedProblem:
         """(forall, exists) block pairs of the normalized prefix."""
         blocks = self.normalized()
         return tuple((blocks[2 * k], blocks[2 * k + 1]) for k in range(len(blocks) // 2))
-
-    def with_outputs(self, outputs: Iterable[Output]) -> "QuantifiedProblem":
-        return QuantifiedProblem(self.variables, self.blocks, tuple(outputs))
 
     def with_blocks(self, blocks: Iterable[Block]) -> "QuantifiedProblem":
         return QuantifiedProblem(self.variables, tuple(blocks), self.outputs)

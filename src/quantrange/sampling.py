@@ -1,4 +1,4 @@
-"""Sampling-based estimator of quantified ranges, plus the affine vertex oracle.
+"""Sampling-based estimator of quantified ranges.
 
 The estimator walks the normalized prefix with per-variable sample grids:
 an existential block contributes the hull over its grid assignments, a
@@ -12,8 +12,7 @@ microseconds for a small polynomial.
 The result is an estimate, not a bound — finite universal grids weaken the
 adversary and finite existential grids weaken the witness.  On affine
 problems, extrema sit at domain vertices, so the 2-point endpoint grid is
-exact there; that specialization serves as an independent oracle for the
-exact affine solver.
+exact there.
 
 Cost is points^(number of variables), where a point domain counts as one
 value, not points (see work_digits); callers are expected to budget it.
@@ -23,20 +22,15 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exprs import Add, Const, Expr, Mul, Tape, Var, compile_expr, eval_point
+from .exprs import Tape, compile_expr, eval_point
 from .intervals import EMPTY, Interval, MaybeInterval, is_empty
-from .problem import Block, Output, QuantifiedProblem, Quantifier
+from .problem import Block, QuantifiedProblem, Quantifier
 
 __all__ = [
-    "SamplingConfig",
     "EmptyEstimate",
     "sampling_estimate",
-    "vertex_oracle_affine",
     "ratio_pair",
     "work_digits",
 ]
@@ -46,35 +40,13 @@ class EmptyEstimate(ValueError):
     """Raised when tightness ratios are requested against an empty estimate."""
 
 
-@dataclass(frozen=True, slots=True)
-class SamplingConfig:
-    """Grid configuration: uniform endpoint-inclusive grids by default;
-    a seed switches interior points to a seeded uniform draw (fuzzing)."""
-
-    points: int = 2
-    include_endpoints: bool = True
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.points < 2:
-            raise ValueError(f"points must be >= 2, got {self.points}")
-
-
-def _grid(domain: Interval, cfg: SamplingConfig, rng: random.Random | None) -> list[float]:
+def _grid(domain: Interval, points: int) -> list[float]:
+    """points evenly spaced values from lo to hi; one value on a point domain."""
     lo, hi = domain.lo, domain.hi
-    n = cfg.points
     if lo == hi:
         return [lo]
-    if rng is not None:
-        interior = sorted(rng.uniform(lo, hi) for _ in range(max(0, n - 2)))
-        if cfg.include_endpoints:
-            return [lo, *interior, hi]
-        return interior if interior else [lo, hi]
-    if cfg.include_endpoints:
-        step = (hi - lo) / (n - 1)
-        return [lo] + [lo + i * step for i in range(1, n - 1)] + [hi]
-    step = (hi - lo) / (n + 1)
-    return [lo + (i + 1) * step for i in range(n)]
+    step = (hi - lo) / (points - 1)
+    return [lo] + [lo + i * step for i in range(1, points - 1)] + [hi]
 
 
 def work_digits(problem: QuantifiedProblem, points: int) -> float:
@@ -146,35 +118,19 @@ def _estimate_component(
             top.hi = max(top.hi, got[1])
 
 
-def sampling_estimate(
-    problem: QuantifiedProblem, cfg: SamplingConfig = SamplingConfig()
-) -> tuple[MaybeInterval, ...]:
-    """Per-output estimates of the quantified range over the sample grids;
-    each output is compiled once and its tape evaluated at every leaf."""
-    rng = random.Random(cfg.seed) if cfg.seed is not None else None
-    grids = {v.name: _grid(v.domain, cfg, rng) for v in problem.variables}
+def sampling_estimate(problem: QuantifiedProblem, points: int) -> tuple[MaybeInterval, ...]:
+    """Per-output estimates of the quantified range over grids of points
+    values per variable (points >= 2); each output is compiled once and its
+    tape evaluated at every leaf."""
+    if points < 2:
+        raise ValueError(f"points must be >= 2, got {points}")
+    grids = {v.name: _grid(v.domain, points) for v in problem.variables}
     blocks = problem.normalized()
     out: list[MaybeInterval] = []
     for output in problem.outputs:
         got = _estimate_component(compile_expr(output.expr), blocks, grids)
         out.append(EMPTY if got is None else Interval(got[0], got[1]))
     return tuple(out)
-
-
-def vertex_oracle_affine(
-    delta0: float | Fraction,
-    coeffs: Mapping[str, float | Fraction],
-    problem: QuantifiedProblem,
-) -> MaybeInterval:
-    """Endpoint-grid estimate of an affine function under the problem's
-    prefix and domains — exact for affine problems (extrema at vertices)."""
-    expr: Expr = Const(float(delta0))
-    for spec in problem.variables:
-        c = float(coeffs.get(spec.name, 0.0))
-        if c != 0.0:
-            expr = Add(expr, Mul(Const(c), Var(spec.name)))
-    oracle_problem = problem.with_outputs([Output("f", expr)])
-    return sampling_estimate(oracle_problem, SamplingConfig(points=2))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -253,11 +253,16 @@ def assemble_bounds(
 
 _AffinePair = tuple[Fraction, dict[str, Fraction]]
 
+# Constant powers beyond this many bits are left to interval evaluation,
+# so nested powers such as (c^1024)^1024 cannot grow a rational unboundedly.
+_MAX_FOLD_BITS = 1 << 16
+
 
 def affine_coefficients(e: Expr | Tape) -> _AffinePair | None:
     """Exact (constant, {var: coefficient}) when e is affine, else None.
 
-    Constant subtrees are folded in exact rational arithmetic.  Any
+    Constant subtrees are folded in exact rational arithmetic, except
+    powers beyond _MAX_FOLD_BITS (which make the tree non-affine).  Any
     trigonometric node disqualifies the tree, as its value has no exact
     rational form.
     """
@@ -284,9 +289,11 @@ def _affine_step(op: int, a, b, done: list[_AffinePair | None]) -> _AffinePair |
         c, lin = left
         if b == 1:
             return c, lin
-        if not lin:
-            return c**b, {}
-        return None
+        if lin:
+            return None
+        if max(c.numerator.bit_length(), c.denominator.bit_length()) * b > _MAX_FOLD_BITS:
+            return None
+        return c**b, {}
     right = done[b]
     if right is None:
         return None

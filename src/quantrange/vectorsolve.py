@@ -12,18 +12,20 @@ scalar inner bounds on these rewritten prefixes multiply to a guaranteed
 inner box of the vector set.
 
 Each output is prepared once per solve (center value, contribution rows,
-affine form; see scalar.prepare) and assembled on the original prefix for
-its outer bound.  Component j's rewritten prefix depends only on the set of
-existentials j keeps, so its inner bound is assembled once per (j, kept
-set), shared by the search, inner_for_assignment and the final inner box.
+affine form; see scalar.prepare).  Component j's rewritten prefix depends
+only on the set of existentials j keeps, so it is assembled once per (j,
+kept set), shared by the search, inner_for_assignment, the final inner box
+and the outer bound: keeping every existential demotes nothing, and
+normalizing is idempotent, so that entry's prefix is the original one.
 
 Assignment search:
   * exhaustive — score every assignment (components^existentials), keep the
     one maximizing (number of nonempty components, total exact inner
     width), ties resolved toward the lexicographically smallest assignment
     vector in normalized-prefix variable order.  For m components and e
-    existentials this costs at most m*2^e exact assemblies plus an m^e loop
-    over cached scores; exhaustive_limit still bounds m^e;
+    existentials this costs exactly m*2^e exact assemblies (the outer
+    bounds among them) plus an m^e loop over cached scores;
+    exhaustive_limit still bounds m^e;
   * greedy — seed each component with its universal outer-row widths as a
     deficit, then hand out existential variables in decreasing best-row
     order to the component where min(row width, remaining deficit) is
@@ -41,13 +43,12 @@ from typing import Callable, Mapping, Sequence
 # exact_affine_range and solve_scalar are not called here: perfbench/spans.py
 # traces them under these names and aborts when one is missing.
 from .exprs import eval_interval
-from .intervals import Interval, MaybeInterval, is_empty
+from .intervals import DivisionByZeroInterval, Interval, MaybeInterval, is_empty
 from .problem import Block, QuantifiedProblem, Quantifier
 from .scalar import (
     ZERO_ROW,
     ContributionRow,
     PreparedOutput,
-    ScalarResult,
     affine_coefficients,
     assemble,
     assemble_bounds,
@@ -121,35 +122,28 @@ def derived_blocks(
 
 
 # ---------------------------------------------------------------------------
-# Prepared outputs, assembled once per prefix
+# Prepared outputs, assembled once per kept set
 # ---------------------------------------------------------------------------
 
 
 class OutputError(ValueError):
-    """One output cannot be bounded (e.g. its bounds overflow); the message
-    names the output."""
+    """One output cannot be bounded (e.g. its bounds overflow, or a divisor
+    interval contains zero); the message names the output."""
 
 
-def _prepare(
-    problem: QuantifiedProblem, supplied: SuppliedRows | None
-) -> list[tuple[PreparedOutput, ScalarResult]]:
-    """Each output prepared and assembled on the original prefix; a failure
-    names the output."""
-    solved = []
-    for out in problem.outputs:
-        rows = None if supplied is None else supplied.get(out.name)
-        try:
-            prepared = prepare(problem, out.expr, rows)
-            solved.append((prepared, assemble(prepared, problem)))
-        except ValueError as exc:
-            raise OutputError(f"output {out.name!r}: {exc}") from exc
-    return solved
+def _named(name: str, fn: Callable, *args):
+    """fn(*args) for the output called name; every failure to prepare or
+    assemble it is re-raised as an OutputError that names it."""
+    try:
+        return fn(*args)
+    except (ValueError, DivisionByZeroInterval) as exc:
+        raise OutputError(f"output {name!r}: {exc}") from exc
 
 
 def _kept_set_inners(
     problem: QuantifiedProblem, prepared: Sequence[PreparedOutput], exist_names: Sequence[str]
 ) -> Callable[[int, Sequence[int]], tuple]:
-    """(rewritten prefix, inner ScalarResult, nonempty, exact inner width) of
+    """(rewritten prefix, ScalarResult on it, nonempty, exact inner width) of
     component j under an assignment vector (a component index per name of
     exist_names), assembled once per (j, kept set): the rewritten prefix of
     j depends only on which existentials j keeps."""
@@ -159,7 +153,9 @@ def _kept_set_inners(
         key = (j, tuple(c == j for c in vec))
         if key not in memo:
             derived = derived_blocks(problem, j, dict(zip(exist_names, vec)))
-            res = assemble(prepared[j], problem.with_blocks(derived))
+            res = _named(
+                problem.outputs[j].name, assemble, prepared[j], problem.with_blocks(derived)
+            )
             iv, nonempty = res.inner, not is_empty(res.inner)
             width = Fraction(iv.hi) - Fraction(iv.lo) if nonempty else Fraction(0)
             memo[key] = (derived, res, nonempty, width)
@@ -244,11 +240,15 @@ def solve_vector(
     component index, covering every existential variable) bypasses the
     search entirely.
     """
-    solved = _prepare(problem, supplied)
-    prepared = [p for p, _ in solved]
+    rows = supplied or {}
+    prepared = [
+        _named(out.name, prepare, problem, out.expr, rows.get(out.name)) for out in problem.outputs
+    ]
     exist_names = existential_order(problem)
     m = len(prepared)
     inner = _kept_set_inners(problem, prepared, exist_names)
+    # Keeping every existential demotes nothing: the original prefix.
+    outers = [inner(j, [j] * len(exist_names))[1] for j in range(m)]
 
     count = m ** len(exist_names) if m > 0 else 0
     if strategy not in ("auto", "exhaustive", "greedy"):
@@ -282,7 +282,7 @@ def solve_vector(
 
     vec = [assignment[n] for n in exist_names]
     components: list[ComponentResult] = []
-    for j, (out, (p, outer)) in enumerate(zip(problem.outputs, solved)):
+    for j, (out, p, outer) in enumerate(zip(problem.outputs, prepared, outers)):
         derived, got, _, _ = inner(j, vec)
         components.append(
             ComponentResult(

@@ -1,7 +1,8 @@
 """Deterministic generators shared by the property and acceptance suites,
 tree-walking reference evaluators that the compiled tape is tested against,
-and the quadratic alternation check and brute-force assignment search that
-the solvers' fast paths are tested against.
+the quadratic alternation check and brute-force assignment search that the
+solvers' fast paths are tested against, and the affine vertex oracle that
+the exact affine route is tested against.
 
 Everything here is seeded by the caller; the same rng state always yields the
 same problems, so failures reproduce exactly.
@@ -37,6 +38,7 @@ from quantrange.exprs import (
 from quantrange.intervals import (
     EMPTY,
     Interval,
+    MaybeInterval,
     is_empty,
     iv_add,
     iv_cos,
@@ -54,7 +56,7 @@ from quantrange.problem import (
     QuantifiedProblem,
     VariableSpec,
 )
-from quantrange.sampling import SamplingConfig, _grid
+from quantrange.sampling import _grid, sampling_estimate
 from quantrange.scalar import PreparedOutput, assemble
 from quantrange.vectorsolve import derived_blocks
 
@@ -355,11 +357,10 @@ def _oracle_estimate(expr, blocks, grids, env, i):
     return (lo, hi)
 
 
-def oracle_sampling_estimate(problem: QuantifiedProblem, cfg: SamplingConfig) -> tuple:
+def oracle_sampling_estimate(problem: QuantifiedProblem, points: int) -> tuple:
     """The grid estimate by recursion over the normalized prefix (one
     Python frame per block) and tree-walking point evaluation."""
-    rng = random.Random(cfg.seed) if cfg.seed is not None else None
-    grids = {v.name: _grid(v.domain, cfg, rng) for v in problem.variables}
+    grids = {v.name: _grid(v.domain, points) for v in problem.variables}
     out = []
     for output in problem.outputs:
         got = _oracle_estimate(output.expr, problem.normalized(), grids, {}, 0)
@@ -403,3 +404,19 @@ def oracle_exhaustive_assignment(
             best_vec = vec
     assert best_vec is not None
     return dict(zip(exist_names, best_vec))
+
+
+def vertex_oracle_affine(
+    delta0: float | Fraction,
+    coeffs: Mapping[str, float | Fraction],
+    problem: QuantifiedProblem,
+) -> MaybeInterval:
+    """Endpoint-grid estimate of an affine function under the problem's
+    prefix and domains — exact for affine problems (extrema at vertices)."""
+    expr: Expr = Const(float(delta0))
+    for spec in problem.variables:
+        c = float(coeffs.get(spec.name, 0.0))
+        if c != 0.0:
+            expr = Add(expr, Mul(Const(c), Var(spec.name)))
+    oracle_problem = QuantifiedProblem(problem.variables, problem.blocks, (Output("f", expr),))
+    return sampling_estimate(oracle_problem, 2)[0]

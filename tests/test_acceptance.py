@@ -19,12 +19,12 @@ from quantrange.benchgen import linear_problem, motion_problem
 from quantrange.cli import main
 from quantrange.intervals import is_empty
 from quantrange.problemfile import load_problem
-from quantrange.sampling import SamplingConfig, sampling_estimate, vertex_oracle_affine
+from quantrange.sampling import sampling_estimate
 from quantrange.scalar import affine_coefficients, exact_affine_range, solve_scalar
 from quantrange.vectorsolve import inner_for_assignment, solve_vector
 
 from conftest import FIXTURES
-from helpers import make_affine_problem
+from helpers import make_affine_problem, vertex_oracle_affine
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -87,9 +87,9 @@ def test_criterion_2_nonlinear_scalar_bounds(capfd):
         assert iv_close(res.inner, 10.0, 12.0, 1e-9)
         assert iv_close(res.outer, 1.5, 20.5, 1e-9)
 
-        est2 = sampling_estimate(problem, SamplingConfig(points=2))[0]
+        est2 = sampling_estimate(problem, 2)[0]
         assert iv_close(est2, 6.25, 16.25, 1e-6)
-        est41 = sampling_estimate(problem, SamplingConfig(points=41))[0]
+        est41 = sampling_estimate(problem, 41)[0]
         assert iv_close(est41, 6.0, 16.25, 1e-6)
 
 

@@ -274,6 +274,65 @@ class TestInputErrors:
         assert f"{path}: output 'big': " in err
         assert "internal error" not in err
 
+    def test_division_by_zero_names_output_and_file(self, capsys, write_problem):
+        path = write_problem(
+            {
+                "schema": 1,
+                "blocks": [{"quantifier": "exists"}],
+                "variables": [{"name": "x", "block": 0, "domain": [-1, 1], "center": 0}],
+                "outputs": [{"name": "g", "expr": "1/x"}],
+            }
+        )
+        self.check_exit_3(
+            capsys,
+            ["solve", path],
+            f"error: {path}: output 'g': division by zero-containing interval",
+        )
+
+    @pytest.mark.parametrize(
+        "expr, domain, center, detail",
+        [
+            ("1/x", [-1, 1], 0.5, "division by zero"),  # the grid point x = 0
+            ("sin(x + x)", [0, 1e308], 0, "math domain error"),  # sin(inf)
+        ],
+    )
+    def test_sampling_failure_names_the_file(
+        self, capsys, write_problem, expr, domain, center, detail
+    ):
+        # supplied rows skip the gradient, so only the sampling grid fails
+        path = write_problem(
+            {
+                "schema": 1,
+                "blocks": [{"quantifier": "exists"}],
+                "variables": [{"name": "x", "block": 0, "domain": domain, "center": center}],
+                "outputs": [{"name": "g", "expr": expr}],
+                "contributions": {"g": {"x": {"I": [0, 0], "O": [-1, 1]}}},
+            }
+        )
+        err = self.check_exit_3(
+            capsys,
+            ["solve", path, "--sample", "points=3"],
+            f"error: {path}: sampling evaluation failed: ",
+        )
+        assert detail in err
+
+    @pytest.mark.parametrize(
+        "exponent", ["1025", "1000000000", "9" * 5000], ids=["1025", "1e9", "5000-digits"]
+    )
+    def test_exponent_over_the_cap(self, capsys, write_problem, exponent):
+        path = write_problem(
+            {
+                "schema": 1,
+                "blocks": [{"quantifier": "exists"}],
+                "variables": [{"name": "x", "block": 0, "domain": [0, 1]}],
+                "outputs": [{"name": "g", "expr": "x^" + exponent}],
+            }
+        )
+        err = self.check_exit_3(
+            capsys, ["solve", path], "exponent exceeds the cap of 1024 at byte offset 2"
+        )
+        assert path in err
+
     def test_gen_rejects_k_zero(self, capsys):
         self.check_exit_3(capsys, ["gen", "linear", "0"], "k")
 

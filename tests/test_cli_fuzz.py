@@ -1,0 +1,126 @@
+"""Random valid schema-1 files through `quantrange solve`: every file ends in
+exit 0 or in an input error (exit 3) that names the file, never in an
+internal error (exit 4), and each one is solved quickly."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import tempfile
+import time
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from quantrange.cli import main
+from quantrange.exprs import MAX_EXPONENT
+
+NAMES = ("x0", "x1", "x2", "x3")
+MAX = 1.7976931348623157e308
+
+DOMAINS = st.sampled_from(
+    [
+        [-1.0, 1.0],
+        [0.5, 2.0],
+        [-3.0, -0.25],
+        [0.0, 0.0],  # point domains
+        [1.5, 1.5],
+        [1e308, 1e308],
+        [-1e308, 1e308],  # huge domains
+        [0.0, 1e308],
+        [-MAX, MAX],
+        [-5e-324, 5e-324],  # subnormal domains
+        [0.0, 1e-310],
+        [1e-320, 2e-320],
+    ]
+)
+CONSTANTS = st.sampled_from(["0", "1", "2.5", "0.1", "1e308", "5e-324", "1.0000001"])
+EXPONENTS = st.sampled_from([0, 1, 2, 3, 13, MAX_EXPONENT, MAX_EXPONENT + 1, 10**9])
+# Row endpoints: a lower end from the first list, an upper end from the second.
+ROW_LO = st.sampled_from([0.0, -1.0, -1e308, -5e-324])
+ROW_HI = st.sampled_from([0.0, 1.0, 1e308, 5e-324])
+
+
+def _expressions(names: tuple[str, ...]):
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            inner.map(lambda a: f"-({a})"),
+            st.tuples(st.sampled_from(["sin", "cos"]), inner).map(lambda t: f"{t[0]}({t[1]})"),
+            st.tuples(inner, inner).map(lambda t: f"msin({t[0]}, {t[1]})"),
+            st.tuples(inner, EXPONENTS).map(lambda t: f"({t[0]})^{t[1]}"),
+        )
+
+    return st.recursive(st.sampled_from(names) | CONSTANTS, extend, max_leaves=8)
+
+
+# Built once: constructing a recursive strategy per draw dominates the run.
+EXPRESSIONS = {k: _expressions(NAMES[:k]) for k in range(1, len(NAMES) + 1)}
+_INTERVAL = st.tuples(ROW_LO, ROW_HI).map(list)
+ROW = st.fixed_dictionaries({"I": _INTERVAL, "O": _INTERVAL})
+
+
+@st.composite
+def problem_files(draw):
+    n_blocks = draw(st.integers(1, 4))
+    names = NAMES[: draw(st.integers(1, len(NAMES)))]
+    variables = []
+    for name in names:
+        domain = draw(DOMAINS)
+        var = {"name": name, "block": draw(st.integers(0, n_blocks - 1)), "domain": domain}
+        center = draw(st.sampled_from([None, "lo", "hi"]))
+        if center is not None:
+            var["center"] = domain[0] if center == "lo" else domain[1]
+        variables.append(var)
+    outputs = [
+        {"name": f"f{j}", "expr": draw(EXPRESSIONS[len(names)])}
+        for j in range(draw(st.integers(1, 3)))
+    ]
+    doc = {
+        "schema": 1,
+        "blocks": [
+            {"quantifier": draw(st.sampled_from(["forall", "exists"]))} for _ in range(n_blocks)
+        ],
+        "variables": variables,
+        "outputs": outputs,
+    }
+    supplied = {
+        out["name"]: {name: draw(ROW) for name in names}
+        for out in outputs
+        if draw(st.booleans())
+    }
+    if supplied:
+        doc["contributions"] = supplied
+    flags = draw(st.sampled_from([[], ["--sample", "points=2"], ["--pi", "greedy"]]))
+    return doc, flags
+
+
+def test_random_files_exit_0_or_a_named_input_error():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "problem.json")
+        seen: dict[int, int] = {}
+
+        @settings(
+            max_examples=150,
+            deadline=2000,
+            derandomize=True,
+            suppress_health_check=[HealthCheck.too_slow],
+        )
+        @given(problem_files())
+        def solve_one(case):
+            doc, flags = case
+            Path(path).write_text(json.dumps(doc), encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["solve", path, *flags])
+            assert code in (0, 3), err.getvalue()
+            if code == 3:
+                assert err.getvalue().startswith(f"error: {path}: "), err.getvalue()
+            seen[code] = seen.get(code, 0) + 1
+
+        t0 = time.perf_counter()
+        solve_one()
+        elapsed = time.perf_counter() - t0
+    assert elapsed < 10.0, f"took {elapsed:.1f}s"
+    assert seen.get(0, 0) > 0 and seen.get(3, 0) > 0, seen

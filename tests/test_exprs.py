@@ -23,6 +23,7 @@ from quantrange.exprs import (
     SIN,
     SUB,
     VAR,
+    MAX_EXPONENT,
     Add,
     Const,
     Cos,
@@ -116,6 +117,18 @@ class TestParseErrors:
             with pytest.raises(ParseError) as exc:
                 parse(text)
             assert exc.value.offset == 2
+
+    def test_exponent_cap(self):
+        assert parse(f"x^{MAX_EXPONENT}") == Pow(Var("x"), MAX_EXPONENT)
+        assert parse("x^0001024") == Pow(Var("x"), 1024)
+        # the digits are compared before int(), which refuses long literals
+        for text in (f"x^{MAX_EXPONENT + 1}", "x^1000000000", "x^" + "9" * 5000):
+            with pytest.raises(ParseError, match="exceeds the cap of 1024") as exc:
+                parse(text)
+            assert exc.value.offset == 2
+        with pytest.raises(ParseError) as exc:
+            parse("sin(y)^2 + (x + 1)^2048")
+        assert exc.value.offset == 19
 
     def test_chained_exponent_rejected(self):
         with pytest.raises(ParseError) as exc:
@@ -336,7 +349,7 @@ class TestEvalGrad:
     def test_partials_match_finite_differences(self, text, point):
         expr = parse(text)
         env_f = {"x": point[0], "y": point[1]}
-        env_iv = {k: Interval.point(v) for k, v in env_f.items()}
+        env_iv = {k: Interval(v, v) for k, v in env_f.items()}
         grad = eval_grad(expr, env_iv)
         value = eval_point(expr, env_f)
         assert grad.value.lo <= value <= grad.value.hi

@@ -158,10 +158,8 @@ class TestViews:
         pairs = p.normalized_pairs()
         assert pairs == ((_b(FA), _b(EX, "x")), (_b(FA, "y"), _b(EX)))
 
-    def test_with_outputs_and_with_blocks_replace_only_that_field(self):
+    def test_with_blocks_replaces_only_that_field(self):
         p = _problem()
-        q = p.with_outputs([Output("g", parse("y"))])
-        assert q.outputs[0].name == "g" and q.variables == p.variables
         r = p.with_blocks((_b(FA, "x", "y"),))
         assert r.blocks == (_b(FA, "x", "y"),) and r.outputs == p.outputs
 

@@ -56,6 +56,15 @@ class TestHappyPath:
         assert loaded.problem.centers() == {"x": 0.0, "y": 1.0}
 
     @pytest.mark.parametrize(
+        "domain, center",
+        [([1e308, 1e308], 1e308), ([1e308, 1.7976931348623157e308], 1.398846567431158e308)],
+    )
+    def test_default_center_of_a_domain_whose_bound_sum_overflows(self, domain, center):
+        doc = base_doc()
+        doc["variables"][0]["domain"] = domain
+        assert parse_problem(doc).problem.centers()["x"] == center
+
+    @pytest.mark.parametrize(
         "name",
         [
             "linear_system.json",

@@ -1,5 +1,5 @@
 """Grid-sampling estimator: alternating hull/intersection recursion, the
-affine vertex oracle, and tightness ratios."""
+affine vertex oracle of the test helpers, and tightness ratios."""
 
 from __future__ import annotations
 
@@ -17,18 +17,21 @@ from quantrange.problem import Block, Output, QuantifiedProblem, Quantifier, Var
 from quantrange.problemfile import load_problem
 from quantrange.sampling import (
     EmptyEstimate,
-    SamplingConfig,
     _grid,
     ratio_pair,
     sampling_estimate,
-    vertex_oracle_affine,
     work_digits,
 )
 from quantrange.scalar import exact_affine_range, solve_scalar
 from quantrange.vectorsolve import solve_vector
 
 from conftest import FIXTURES
-from helpers import make_affine_problem, make_random_problem, oracle_sampling_estimate
+from helpers import (
+    make_affine_problem,
+    make_random_problem,
+    oracle_sampling_estimate,
+    vertex_oracle_affine,
+)
 
 FA = Quantifier.FORALL
 EX = Quantifier.EXISTS
@@ -48,9 +51,10 @@ def _problem(expr_text, var_specs, blocks):
 
 class TestSamplingConfig:
     def test_points_floor(self):
+        p = _problem("x", [("x", -1.0, 1.0, 0.0)], [_b(EX, "x")])
         with pytest.raises(ValueError):
-            SamplingConfig(points=1)
-        SamplingConfig(points=2)
+            sampling_estimate(p, 1)
+        sampling_estimate(p, 2)
 
     def test_work_digits(self):
         loaded = load_problem(str(FIXTURES / "nonlinear_scalar.json"))
@@ -63,7 +67,7 @@ class TestSamplingConfig:
             [("x", -1.0, 1.0, 0.0), ("y", 0.5, 0.5, 0.5), ("z", 0.0, 2.0, 1.0)],
             [_b(EX, "x", "y"), _b(FA, "z")],
         )
-        sizes = [len(_grid(v.domain, SamplingConfig(10), None)) for v in p.variables]
+        sizes = [len(_grid(v.domain, 10)) for v in p.variables]
         assert sizes == [10, 1, 10]
         assert work_digits(p, 10) == 2.0
 
@@ -84,57 +88,33 @@ def test_one_tape_per_output_and_one_sweep_per_leaf(monkeypatch):
         for name in calls:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     loaded = load_problem(str(FIXTURES / "nonlinear_scalar.json"))
-    (got,) = sampling_estimate(loaded.problem, SamplingConfig(points=41))
+    (got,) = sampling_estimate(loaded.problem, 41)
     assert got == Interval(6.0, 16.25)
     assert calls == {"compile_expr": len(loaded.problem.outputs), "eval_point": 41**3}
 
 
 class TestGrids:
     def test_uniform_endpoint_grid(self):
-        got = _grid(Interval(0.0, 1.0), SamplingConfig(points=5), None)
+        got = _grid(Interval(0.0, 1.0), 5)
         assert got == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_two_point_grid_is_the_endpoints(self):
-        assert _grid(Interval(-1.0, 3.0), SamplingConfig(points=2), None) == [-1.0, 3.0]
+        assert _grid(Interval(-1.0, 3.0), 2) == [-1.0, 3.0]
 
     def test_degenerate_domain_is_a_single_point(self):
-        got = _grid(Interval(2.0, 2.0), SamplingConfig(points=7), None)
+        got = _grid(Interval(2.0, 2.0), 7)
         assert got == [2.0]
-
-    def test_interior_grid_excludes_endpoints(self):
-        got = _grid(
-            Interval(0.0, 1.0), SamplingConfig(points=3, include_endpoints=False), None
-        )
-        assert got == [0.25, 0.5, 0.75]
-        assert 0.0 not in got and 1.0 not in got
-
-    def test_seeded_grid_keeps_endpoints_and_sorts_interior(self):
-        rng = random.Random(11)
-        got = _grid(Interval(0.0, 1.0), SamplingConfig(points=6, seed=11), rng)
-        assert len(got) == 6
-        assert got[0] == 0.0 and got[-1] == 1.0
-        assert got == sorted(got)
-        assert all(0.0 < v < 1.0 for v in got[1:-1])
-
-    def test_seeded_estimates_are_reproducible(self):
-        loaded = load_problem(str(FIXTURES / "nonlinear_scalar.json"))
-        cfg = SamplingConfig(points=4, seed=11)
-        a = sampling_estimate(loaded.problem, cfg)
-        b = sampling_estimate(loaded.problem, cfg)
-        assert a == b
-        c = sampling_estimate(loaded.problem, SamplingConfig(points=4, seed=12))
-        assert a != c
 
 
 class TestEstimateValues:
     def test_endpoint_estimate_on_nonlinear_fixture(self):
         loaded = load_problem(str(FIXTURES / "nonlinear_scalar.json"))
-        (got,) = sampling_estimate(loaded.problem, SamplingConfig(points=2))
+        (got,) = sampling_estimate(loaded.problem, 2)
         assert got == Interval(6.25, 16.25)
 
     def test_dense_estimate_on_nonlinear_fixture(self):
         loaded = load_problem(str(FIXTURES / "nonlinear_scalar.json"))
-        (got,) = sampling_estimate(loaded.problem, SamplingConfig(points=41))
+        (got,) = sampling_estimate(loaded.problem, 41)
         assert got == Interval(6.0, 16.25)
 
     def test_universal_grid_intersection_can_empty_the_estimate(self):
@@ -143,10 +123,10 @@ class TestEstimateValues:
             [("x1", -1.0, 1.0, 0.0), ("x2", -1.0, 1.0, 0.0)],
             [_b(EX, "x1"), _b(FA, "x2")],
         )
-        (got,) = sampling_estimate(p, SamplingConfig(points=2))
+        (got,) = sampling_estimate(p, 2)
         assert is_empty(got)
         # a grid containing the witness x1 = 0 recovers the exact answer {0}
-        (got3,) = sampling_estimate(p, SamplingConfig(points=3))
+        (got3,) = sampling_estimate(p, 3)
         assert got3 == Interval(0.0, 0.0)
 
     def test_empty_range_under_a_universal_empties_the_estimate(self):
@@ -157,13 +137,13 @@ class TestEstimateValues:
             [("a", 0.0, 1.0, 0.5), ("b", 0.0, 0.0, 0.0), ("c", -1.0, 1.0, 0.0)],
             [_b(FA, "a"), _b(EX, "b"), _b(FA, "c")],
         )
-        (got,) = sampling_estimate(p, SamplingConfig(points=2))
+        (got,) = sampling_estimate(p, 2)
         assert is_empty(got)
 
     def test_existential_refinement_grows_the_hull(self):
         p = _problem("sin(x) + x", [("x", -2.0, 2.0, 0.0)], [_b(EX, "x")])
         est = {
-            k: sampling_estimate(p, SamplingConfig(points=k))[0] for k in (2, 3, 5)
+            k: sampling_estimate(p, k)[0] for k in (2, 3, 5)
         }
         assert est[5].contains_interval(est[3])
         assert est[3].contains_interval(est[2])
@@ -175,7 +155,7 @@ class TestEstimateValues:
             [_b(FA, "y"), _b(EX, "x")],
         )
         est = {
-            k: sampling_estimate(p, SamplingConfig(points=k))[0] for k in (3, 5, 9)
+            k: sampling_estimate(p, k)[0] for k in (3, 5, 9)
         }
         assert est[3].contains_interval(est[5])
         assert est[5].contains_interval(est[9])
@@ -186,7 +166,7 @@ class TestEstimateValues:
             (_b(EX, "x"),),
             (Output("f", parse("x")), Output("g", parse("2*x"))),
         )
-        got = sampling_estimate(p, SamplingConfig(points=2))
+        got = sampling_estimate(p, 2)
         assert got == (Interval(-1.0, 1.0), Interval(-2.0, 2.0))
 
     def test_matches_the_recursive_oracle_on_random_problems(self):
@@ -194,9 +174,9 @@ class TestEstimateValues:
         empty = 0
         for _ in range(150):
             p = make_random_problem(rng, n_outputs=2)
-            cfg = SamplingConfig(points=rng.choice((2, 3, 4)))
-            got = sampling_estimate(p, cfg)
-            assert repr(got) == repr(oracle_sampling_estimate(p, cfg))
+            points = rng.choice((2, 3, 4))
+            got = sampling_estimate(p, points)
+            assert repr(got) == repr(oracle_sampling_estimate(p, points))
             empty += sum(map(is_empty, got))
         assert empty > 0  # some grid intersections cross
 
@@ -237,7 +217,7 @@ class TestRatios:
     def test_ratio_pair_on_nonlinear_fixture(self):
         loaded = load_problem(str(FIXTURES / "nonlinear_scalar.json"))
         res = solve_scalar(loaded.problem, loaded.problem.outputs[0].expr)
-        (est,) = sampling_estimate(loaded.problem, SamplingConfig(points=2))
+        (est,) = sampling_estimate(loaded.problem, 2)
         inner_ratio, outer_ratio = ratio_pair(res.inner, res.outer, est)
         assert inner_ratio == 0.2
         assert outer_ratio == 1.9
@@ -263,7 +243,7 @@ class TestRatios:
     def test_ratio_pair_on_linear_system_components(self):
         linear = load_problem(str(FIXTURES / "linear_system.json")).problem
         vres = solve_vector(linear)
-        vest = sampling_estimate(linear, SamplingConfig(points=2))
+        vest = sampling_estimate(linear, 2)
         assert len(vres.components) == len(vest) == 2
         for comp, est in zip(vres.components, vest):
             inner_ratio, outer_ratio = ratio_pair(comp.inner, comp.outer, est)

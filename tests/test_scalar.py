@@ -249,6 +249,15 @@ class TestAffineCoefficients:
     def test_division_by_zero_constant_is_not_affine(self):
         assert affine_coefficients(parse("x/0")) is None
 
+    def test_constant_powers_fold_up_to_the_bit_bound(self):
+        c = Fraction(1.0000001)
+        got = affine_coefficients(parse("x + 1.0000001^1024"))
+        assert got == (c**1024, {"x": Fraction(1)})
+        # c^(2^20) would need about 55 million bits; the subtree is left to
+        # interval evaluation instead of being folded
+        assert affine_coefficients(parse("x + (1.0000001^1024)^1024")) is None
+        assert affine_coefficients(parse("((1.0000001^1024)^1024)^1024")) is None
+
     def test_dropped_terms_cancel(self):
         got = affine_coefficients(parse("x - x + y"))
         assert got == (Fraction(0), {"x": Fraction(0), "y": Fraction(1)})
@@ -386,9 +395,7 @@ class TestSuppliedRowsFixture:
         p = loaded.problem
         # every output expression here is affine, but supplied rows must win
         for out in p.outputs:
-            got = solve_scalar(
-                p.with_outputs([out]), out.expr, supplied_rows=loaded.supplied[out.name]
-            )
+            got = solve_scalar(p, out.expr, supplied_rows=loaded.supplied[out.name])
             assert got.method == "mean-value"
 
     def test_pinned_per_output_bounds(self):
@@ -396,9 +403,7 @@ class TestSuppliedRowsFixture:
         p = loaded.problem
         results = {}
         for out in p.outputs:
-            results[out.name] = solve_scalar(
-                p.with_outputs([out]), out.expr, supplied_rows=loaded.supplied[out.name]
-            )
+            results[out.name] = solve_scalar(p, out.expr, supplied_rows=loaded.supplied[out.name])
         assert results["x"].inner == Interval(-0.095, 0.5899999819999999)
         assert results["x"].outer == Interval(-0.10000196350000001, 0.6050019635)
         assert results["y"].inner == Interval(-0.1, 0.1)

@@ -295,9 +295,8 @@ def test_overflowing_output_is_named():
         solve_vector(p)
 
 
-def test_joint_fixture_assembles_once_per_kept_set(monkeypatch):
-    """The search assembles each (component, kept set) once: m*2^e inner
-    assemblies at most, plus the m outer and m final ones."""
+def _assemblies(fixture, monkeypatch):
+    """The solve of a fixture and the number of assemble calls it made."""
     original = vectorsolve.assemble
     calls = [0]
 
@@ -306,11 +305,54 @@ def test_joint_fixture_assembles_once_per_kept_set(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(vectorsolve, "assemble", counted)
-    loaded = load_problem(str(FIXTURES / "dubbins_joint.json"))
-    res = solve_vector(loaded.problem, supplied=loaded.supplied)
+    loaded = load_problem(str(FIXTURES / fixture))
+    return solve_vector(loaded.problem, supplied=loaded.supplied), calls[0]
+
+
+def test_joint_fixture_assembles_once_per_kept_set(monkeypatch):
+    """The search, the outer bounds and the final inner box all read the
+    kept-set memo: exactly m*2^e assemblies, one per (component, kept set)."""
+    res, calls = _assemblies("dubbins_joint.json", monkeypatch)
     m, e = len(res.components), len(res.assignment)
     assert (m, e) == (3, 7)
-    assert calls[0] <= m * 2**e + 2 * m
+    assert calls == m * 2**e
+
+
+@pytest.mark.parametrize(
+    "fixture, assemblies",
+    [
+        ("dubbins_flow.json", 3 * 2**5),
+        ("linear_system.json", 2 * 2**3),
+        # one output: a single kept set, read for both bounds
+        ("dubbins_taylor.json", 1),
+        ("nonlinear_scalar.json", 1),
+    ],
+)
+def test_each_kept_set_is_assembled_exactly_once(fixture, assemblies, monkeypatch):
+    """m*2^e assemblies for m outputs and e existentials when the search is
+    exhaustive (the outer bounds among them), and one per output when m = 1."""
+    res, calls = _assemblies(fixture, monkeypatch)
+    m, e = len(res.components), len(res.assignment)
+    assert res.strategy_used == "exhaustive"
+    assert calls == assemblies == (m * 2**e if m > 1 else m)
+
+
+def test_a_failing_kept_set_assembly_is_named():
+    """An assembly that fails only on a rewritten prefix still names its
+    output: demoting e makes a's outer condition fail, and the fallback sum
+    of its outer rows overflows, while the original prefix is fine."""
+    huge = ContributionRow(Interval(0.0, 0.0), Interval(-1e308, 1e308))
+    rows = {"u": huge, "e": ContributionRow(Interval(-1.0, 1.0), Interval(-1e308, 1e308))}
+    supplied = {"a": rows, "b": {"u": ZERO_ROW, "e": ZERO_ROW}}
+    p = QuantifiedProblem(
+        (VariableSpec("u", Interval(-1.0, 1.0), 0.0), VariableSpec("e", Interval(-1.0, 1.0), 0.0)),
+        (_b(FA, "u"), _b(EX, "e")),
+        (Output("a", parse("u + e")), Output("b", parse("u + e"))),
+    )
+    res = solve_vector(p, supplied, pinned={"e": 0})
+    assert res.components[0].outer == Interval(-1e308, 1e308)
+    with pytest.raises(OutputError, match=r"^output 'a': interval bounds must be finite"):
+        solve_vector(p, supplied)
 
 
 # ---------------------------------------------------------------------------
