@@ -22,7 +22,11 @@ keep one slot).  Point, interval and gradient evaluation, the printer and
 the affine folding in `scalar` are sweeps over that one tape; each accepts
 an Expr too and compiles it first, so a caller that evaluates an
 expression repeatedly compiles it once with `compile_expr` and passes the
-tape.
+tape.  The tape also counts each slot's readers (the instructions that
+take it as a child, once per operand position), so a sweep can update a
+child's partial dict or linear form in place when no other instruction
+reads it, instead of copying it: a sum chain then costs O(n), not O(n^2).
+Slots of a shared subtree keep being copied.
 
 Evaluation is containment-sound: for every point assignment drawn from the
 environment, the pointwise value (and each partial derivative) lies in the
@@ -250,12 +254,15 @@ class Tape:
     Instruction i is (op, a, b) and its value is slot i of a sweep.  a and b
     are the node's child slots, except that a CONST holds its value in a, a
     VAR its name in a, and a POW its exponent in b; unused fields are None.
+    readers[i] is the number of operand positions that read slot i (0 for
+    the root), so a sweep may reuse slot i's value in place when it is 1.
     """
 
-    __slots__ = ("code",)
+    __slots__ = ("code", "readers")
 
-    def __init__(self, code: tuple[Instruction, ...]) -> None:
+    def __init__(self, code: tuple[Instruction, ...], readers: tuple[int, ...]) -> None:
         self.code = code
+        self.readers = readers
 
 
 def compile_expr(root: Expr) -> Tape:
@@ -267,6 +274,7 @@ def compile_expr(root: Expr) -> Tape:
     """
     slots: dict[int, int] = {}
     code: list[Instruction] = []
+    readers: list[int] = []
     stack: list[Expr] = [root]
     while stack:
         node = stack[-1]
@@ -290,9 +298,12 @@ def compile_expr(root: Expr) -> Tape:
             ins = (POW, slots[id(node.base)], node.exponent)
         else:
             ins = (op, slots[id(kids[0])], slots[id(kids[1])] if len(kids) > 1 else None)
+        for kid in kids:
+            readers[slots[id(kid)]] += 1
         slots[id(node)] = len(code)
         code.append(ins)
-    return Tape(tuple(code))
+        readers.append(0)
+    return Tape(tuple(code), tuple(readers))
 
 
 def as_tape(e: Expr | Tape) -> Tape:
@@ -689,6 +700,7 @@ class GradEnclosure:
 
 _ZERO = Interval(0.0, 0.0)
 _ONE = Interval(1.0, 1.0)
+_MINUS_ONE = Interval(-1.0, -1.0)
 
 
 def _merge_linear(
@@ -696,11 +708,20 @@ def _merge_linear(
     db: dict[str, Interval],
     fa: Interval | None,
     fb: Interval | None,
+    reuse: bool,
 ) -> dict[str, Interval]:
-    """Sparse combine fa*da + fb*db (None factor means identity)."""
-    out: dict[str, Interval] = {}
-    for name, d in da.items():
-        out[name] = d if fa is None else iv_mul(fa, d)
+    """Sparse combine fa*da + fb*db (None factor means identity).
+
+    With reuse, da belongs to a slot that nothing else reads and becomes
+    the result, updated in place; otherwise it is left untouched.
+    """
+    if not reuse:
+        out = dict(da) if fa is None else {name: iv_mul(fa, d) for name, d in da.items()}
+    else:
+        out = da
+        if fa is not None:
+            for name, d in da.items():
+                out[name] = iv_mul(fa, d)
     for name, d in db.items():
         term = d if fb is None else iv_mul(fb, d)
         prev = out.get(name)
@@ -714,9 +735,11 @@ def eval_grad(e: Expr | Tape, env: Mapping[str, Interval]) -> GradEnclosure:
     Each partial interval contains de/dx_j at every point of the box; the
     result maps every variable of env, with [0,0] for absent variables.
     """
+    tape = as_tape(e)
+    readers = tape.readers
     vals: list[Interval] = []
     ders: list[dict[str, Interval]] = []
-    for op, a, b in as_tape(e).code:
+    for op, a, b in tape.code:
         if op == VAR:
             try:
                 val = env[a]
@@ -727,13 +750,13 @@ def eval_grad(e: Expr | Tape, env: Mapping[str, Interval]) -> GradEnclosure:
             val, der = Interval(a, a), {}
         elif op == ADD:
             val = iv_add(vals[a], vals[b])
-            der = _merge_linear(ders[a], ders[b], None, None)
+            der = _merge_linear(ders[a], ders[b], None, None, readers[a] == 1)
         elif op == SUB:
             val = iv_sub(vals[a], vals[b])
-            der = _merge_linear(ders[a], ders[b], None, Interval(-1.0, -1.0))
+            der = _merge_linear(ders[a], ders[b], None, _MINUS_ONE, readers[a] == 1)
         elif op == MUL:
             val = iv_mul(vals[a], vals[b])
-            der = _merge_linear(ders[a], ders[b], vals[b], vals[a])
+            der = _merge_linear(ders[a], ders[b], vals[b], vals[a], readers[a] == 1)
         elif op == DIV:
             vb, da, db = vals[b], ders[a], ders[b]
             val = iv_div(vals[a], vb)
@@ -767,7 +790,7 @@ def eval_grad(e: Expr | Tape, env: Mapping[str, Interval]) -> GradEnclosure:
             der = {name: iv_mul(factor, d) for name, d in ders[a].items()}
         else:
             val, d_du, d_dv = msin_enclosures(vals[a], vals[b])
-            der = _merge_linear(ders[a], ders[b], d_du, d_dv)
+            der = _merge_linear(ders[a], ders[b], d_du, d_dv, readers[a] == 1)
         vals.append(val)
         ders.append(der)
     sparse = ders[-1]

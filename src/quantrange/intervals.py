@@ -8,6 +8,24 @@ bound toward -inf, the upper toward +inf — using exact error terms
 is actually inexact.  Results are therefore tight to 1 ULP for +,-,*,/ and
 to ~2 ULP for sin/cos.
 
+The error terms are exact over the whole finite range: when an operand or
+the product exceeds 2**995, two_product scales the larger operand by a
+power of two before Dekker's split, which would otherwise overflow and
+leave huge products and quotients rounded to nearest; and a quotient near
+the underflow range is placed against the exact rational instead of an
+error term that may underflow.  Directed products and
+quotients are therefore monotone in the exact value, which is what lets
+iv_mul and iv_div take each bound from the single corner that the
+operands' signs select (the sign table of Moore, Kearfott & Cloud,
+*Introduction to Interval Analysis*, SIAM 2009, §2.2): the result equals
+the min/max over all four corners, bit for bit.  Only a product of two
+zero-straddling factors compares two candidate corners per bound.
+
+Results of the iv_* operations are built by a private constructor that
+makes the same checks as Interval (finite bounds, lo <= hi, -0.0
+normalised) and defers to Interval to raise the same error, but skips
+the dataclass initialiser when they pass.
+
 An empty result (from emptiness conditions downstream) is the distinct
 singleton EMPTY, never a crossed interval.
 """
@@ -77,17 +95,38 @@ def _dekker_split(a: float) -> tuple[float, float]:
     return hi, a - hi
 
 
+def _product_error(a: float, b: float, p: float) -> float:
+    ah, al = _dekker_split(a)
+    bh, bl = _dekker_split(b)
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+# Beyond this magnitude of a factor the split (a * _SPLIT) can overflow, and
+# beyond it for the product one of the partial products can.
+_SPLIT_LIMIT = 2.0**995
+_SCALE_DOWN = 2.0**-64
+_SCALE_UP = 2.0**64
+
+
 def two_product(a: float, b: float) -> tuple[float, float]:
     """Return (p, e) with p = fl(a * b) and a * b = p + e exactly.
 
-    Exact provided neither the product nor the split overflows and the
-    product is not subnormal; callers guard the subnormal range.
+    Exact whenever p is finite and not below the subnormal range's reach;
+    callers guard the subnormal range.  An overflowed p comes with e = 0.
     """
     p = a * b
-    ah, al = _dekker_split(a)
-    bh, bl = _dekker_split(b)
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, e
+    if -_SPLIT_LIMIT <= a <= _SPLIT_LIMIT and -_SPLIT_LIMIT <= b <= _SPLIT_LIMIT and (
+        -_SPLIT_LIMIT <= p <= _SPLIT_LIMIT
+    ):
+        return p, _product_error(a, b, p)
+    if math.isinf(p):
+        return p, 0.0
+    # p is finite, so the smaller factor is below 2**512.  Scaling the larger
+    # one by 2**-64 is exact (a nonzero scaled product stays above 2**-143,
+    # far from the subnormal range) and keeps every intermediate finite.
+    if abs(a) < abs(b):
+        a, b = b, a
+    return p, _product_error(a * _SCALE_DOWN, b, p * _SCALE_DOWN) * _SCALE_UP
 
 
 # Below this magnitude the Dekker error term may itself underflow; nudge
@@ -155,18 +194,21 @@ def mul_up(a: float, b: float) -> float:
 
 
 def _div_directed(x: float, y: float, up: bool) -> float:
-    """Quotient rounded toward +inf (up) or -inf (not up)."""
+    """Quotient rounded toward +inf (up) or -inf (not up): the largest float
+    <= x/y or the smallest float >= it, so monotone in the exact quotient."""
     q = x / y
-    p, e = two_product(q, y)
-    if p == x and e == 0.0 and abs(x) < 1e290:
-        return q  # exact quotient
-    # q*y = p + e exactly; compare with x to find which side q is on.
-    if p > x or (p == x and e > 0.0):
-        qy_gt_x = True
-    elif p < x or (p == x and e < 0.0):
-        qy_gt_x = False
-    else:  # pragma: no cover - covered by the exactness branch
-        return q
+    if _TINY <= abs(x) and _TINY <= abs(q):
+        # q*y = p + e exactly; compare with x to find which side q is on.
+        p, e = two_product(q, y)
+        if p == x and e == 0.0:
+            return q  # exact quotient
+        qy_gt_x = p > x or (p == x and e > 0.0)
+    else:
+        # The error term of q*y may underflow here; compare exactly instead.
+        excess = Fraction(q) * Fraction(y) - Fraction(x)
+        if not excess:
+            return q
+        qy_gt_x = excess > 0
     q_gt_true = qy_gt_x if y > 0.0 else not qy_gt_x
     if up:
         return q if q_gt_true else _next_up(q)
@@ -266,58 +308,91 @@ def is_empty(x: MaybeInterval) -> bool:
 # ---------------------------------------------------------------------------
 
 
+_new_interval = object.__new__
+_set_lo = Interval.lo.__set__  # slot descriptors bypass the frozen __setattr__
+_set_hi = Interval.hi.__set__
+
+
+def _interval(lo: float, hi: float) -> Interval:
+    """Interval(lo, hi) for float bounds: the same checks, the same error
+    (raised by Interval itself), without the dataclass initialiser."""
+    lo += 0.0  # normalize -0.0
+    hi += 0.0
+    if -_MAX <= lo <= hi <= _MAX:
+        iv = _new_interval(Interval)
+        _set_lo(iv, lo)
+        _set_hi(iv, hi)
+        return iv
+    return Interval(lo, hi)
+
+
 def iv_add(a: Interval, b: Interval) -> Interval:
     """Sound: x + y in result for all x in a, y in b."""
-    return Interval(add_down(a.lo, b.lo), add_up(a.hi, b.hi))
+    return _interval(add_down(a.lo, b.lo), add_up(a.hi, b.hi))
 
 
 def iv_sub(a: Interval, b: Interval) -> Interval:
     """Sound: x - y in result for all x in a, y in b."""
-    return Interval(add_down(a.lo, -b.hi), add_up(a.hi, -b.lo))
+    return _interval(add_down(a.lo, -b.hi), add_up(a.hi, -b.lo))
 
 
 def iv_neg(a: Interval) -> Interval:
-    return Interval(-a.hi, -a.lo)
+    return _interval(-a.hi, -a.lo)
 
 
 def iv_mul(a: Interval, b: Interval) -> Interval:
-    """Sound product: min/max over the four directed corner products."""
-    lo = min(
-        mul_down(a.lo, b.lo),
-        mul_down(a.lo, b.hi),
-        mul_down(a.hi, b.lo),
-        mul_down(a.hi, b.hi),
+    """Sound product: the directed products of the corners the signs select.
+
+    Each bound is the min (or max) of the four corner products; the sign
+    classes of a and b (>= 0, <= 0, straddling 0) determine which corner
+    that is, except that two straddling factors leave two candidates.
+    """
+    al, ah, bl, bh = a.lo, a.hi, b.lo, b.hi
+    if al >= 0.0:
+        if bl >= 0.0:
+            return _interval(mul_down(al, bl), mul_up(ah, bh))
+        if bh <= 0.0:
+            return _interval(mul_down(ah, bl), mul_up(al, bh))
+        return _interval(mul_down(ah, bl), mul_up(ah, bh))
+    if ah <= 0.0:
+        if bl >= 0.0:
+            return _interval(mul_down(al, bh), mul_up(ah, bl))
+        if bh <= 0.0:
+            return _interval(mul_down(ah, bh), mul_up(al, bl))
+        return _interval(mul_down(al, bh), mul_up(al, bl))
+    if bl >= 0.0:
+        return _interval(mul_down(al, bh), mul_up(ah, bh))
+    if bh <= 0.0:
+        return _interval(mul_down(ah, bl), mul_up(al, bl))
+    return _interval(
+        min(mul_down(al, bh), mul_down(ah, bl)), max(mul_up(al, bl), mul_up(ah, bh))
     )
-    hi = max(
-        mul_up(a.lo, b.lo),
-        mul_up(a.lo, b.hi),
-        mul_up(a.hi, b.lo),
-        mul_up(a.hi, b.hi),
-    )
-    return Interval(lo, hi)
 
 
 def iv_div(a: Interval, b: Interval) -> Interval:
     """Sound quotient; the divisor must not contain zero.
 
+    The divisor has one sign, so each bound is one directed quotient: the
+    corner that the signs of a and b select.
+
     Raises:
         DivisionByZeroInterval: when 0 in b.
     """
-    if b.lo <= 0.0 <= b.hi:
+    bl, bh = b.lo, b.hi
+    if bl <= 0.0 <= bh:
         raise DivisionByZeroInterval(f"division by zero-containing interval {b}")
-    lo = min(
-        div_down(a.lo, b.lo),
-        div_down(a.lo, b.hi),
-        div_down(a.hi, b.lo),
-        div_down(a.hi, b.hi),
-    )
-    hi = max(
-        div_up(a.lo, b.lo),
-        div_up(a.lo, b.hi),
-        div_up(a.hi, b.lo),
-        div_up(a.hi, b.hi),
-    )
-    return Interval(lo, hi)
+    al, ah = a.lo, a.hi
+    if bl > 0.0:
+        if al >= 0.0:
+            return _interval(div_down(al, bh), div_up(ah, bl))
+        if ah <= 0.0:
+            return _interval(div_down(al, bl), div_up(ah, bh))
+        return _interval(div_down(al, bl), div_up(ah, bl))
+    if al >= 0.0:
+        return _interval(div_down(ah, bh), div_up(al, bl))
+    if ah <= 0.0:
+        return _interval(div_down(ah, bl), div_up(al, bh))
+    return _interval(div_down(ah, bh), div_up(al, bh))
 
 
 def _pow_nonneg_down(x: float, n: int) -> float:
@@ -344,14 +419,14 @@ def iv_pow(a: Interval, n: int) -> Interval:
     if n < 0 or n != int(n):
         raise ValueError(f"exponent must be a non-negative integer, got {n}")
     if n == 0:
-        return Interval(1.0, 1.0)
+        return _interval(1.0, 1.0)
     if n == 1:
         return a
     if n % 2 == 0:
-        return Interval(_pow_nonneg_down(a.mig(), n), _pow_nonneg_up(a.mag(), n))
+        return _interval(_pow_nonneg_down(a.mig(), n), _pow_nonneg_up(a.mag(), n))
     lo = -_pow_nonneg_up(-a.lo, n) if a.lo < 0.0 else _pow_nonneg_down(a.lo, n)
     hi = _pow_nonneg_up(a.hi, n) if a.hi > 0.0 else -_pow_nonneg_down(-a.hi, n)
-    return Interval(lo, hi)
+    return _interval(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +463,7 @@ def _nudge2_up(x: float) -> float:
 
 def _iv_trig(a: Interval, fn, max_phase: float, min_phase: float) -> Interval:
     if a.width >= _TWO_PI:
-        return Interval(-1.0, 1.0)
+        return _interval(-1.0, 1.0)
     f_lo = fn(a.lo)
     f_hi = fn(a.hi)
     if _has_critical_point(a.lo, a.hi, max_phase):
@@ -399,7 +474,7 @@ def _iv_trig(a: Interval, fn, max_phase: float, min_phase: float) -> Interval:
         lo = -1.0
     else:
         lo = max(-1.0, _nudge2_down(min(f_lo, f_hi)))
-    return Interval(lo, hi)
+    return _interval(lo, hi)
 
 
 def iv_sin(a: Interval) -> Interval:
@@ -409,14 +484,14 @@ def iv_sin(a: Interval) -> Interval:
     to a conservative rounding slack; sin([0,0]) is exactly [0,0].
     """
     if a.lo == 0.0 and a.hi == 0.0:
-        return Interval(0.0, 0.0)
+        return _interval(0.0, 0.0)
     return _iv_trig(a, math.sin, _HALF_PI, -_HALF_PI)
 
 
 def iv_cos(a: Interval) -> Interval:
     """Sound cosine; cos([0,0]) is exactly [1,1]."""
     if a.lo == 0.0 and a.hi == 0.0:
-        return Interval(1.0, 1.0)
+        return _interval(1.0, 1.0)
     return _iv_trig(a, math.cos, 0.0, math.pi)
 
 
@@ -431,4 +506,4 @@ def iv_hull(a: MaybeInterval, b: MaybeInterval) -> MaybeInterval:
         return b
     if is_empty(b):
         return a
-    return Interval(min(a.lo, b.lo), max(a.hi, b.hi))
+    return _interval(min(a.lo, b.lo), max(a.hi, b.hi))

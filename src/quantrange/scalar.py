@@ -253,26 +253,47 @@ def assemble_bounds(
 
 _AffinePair = tuple[Fraction, dict[str, Fraction]]
 
-# Constant powers beyond this many bits are left to interval evaluation,
-# so nested powers such as (c^1024)^1024 cannot grow a rational unboundedly.
+# A folded constant or coefficient beyond this many bits (numerator or
+# denominator) is left to interval evaluation, so neither nested powers
+# such as (c^1024)^1024 nor long products or sums of large constants can
+# grow a rational without bound.
 _MAX_FOLD_BITS = 1 << 16
+
+_TRIG_OPS = frozenset((SIN, COS, MSIN))
+
+
+def _too_big(x: Fraction) -> bool:
+    return x.numerator.bit_length() > _MAX_FOLD_BITS or x.denominator.bit_length() > _MAX_FOLD_BITS
 
 
 def affine_coefficients(e: Expr | Tape) -> _AffinePair | None:
     """Exact (constant, {var: coefficient}) when e is affine, else None.
 
-    Constant subtrees are folded in exact rational arithmetic, except
-    powers beyond _MAX_FOLD_BITS (which make the tree non-affine).  Any
-    trigonometric node disqualifies the tree, as its value has no exact
-    rational form.
+    Constant subtrees are folded in exact rational arithmetic; a folded
+    constant or coefficient beyond _MAX_FOLD_BITS makes the tree
+    non-affine, which leaves it to the mean-value route.  Any trigonometric
+    node disqualifies the tree, as its value has no exact rational form.
+    Non-affinity reaches the root through every node except a power with
+    exponent 0, so a tape with a trigonometric node and no such power is
+    rejected without folding anything.
     """
+    tape = as_tape(e)
+    code = tape.code
+    ops = {ins[0] for ins in code}
+    if not ops.isdisjoint(_TRIG_OPS) and not any(op == POW and b == 0 for op, _, b in code):
+        return None
+    readers = tape.readers
     done: list[_AffinePair | None] = []
-    for op, a, b in as_tape(e).code:
-        done.append(_affine_step(op, a, b, done))
+    for op, a, b in code:
+        done.append(_affine_step(op, a, b, done, readers))
     return done[-1]
 
 
-def _affine_step(op: int, a, b, done: list[_AffinePair | None]) -> _AffinePair | None:
+def _affine_step(
+    op: int, a, b, done: list[_AffinePair | None], readers: tuple[int, ...]
+) -> _AffinePair | None:
+    """Fold one instruction.  A child's coefficient dict is updated in place
+    (and so shared with this slot) only when this is its sole reader."""
     if op == CONST:
         return Fraction(a), {}
     if op == VAR:
@@ -280,7 +301,7 @@ def _affine_step(op: int, a, b, done: list[_AffinePair | None]) -> _AffinePair |
     if op == POW and b == 0:
         return Fraction(1), {}
     left = done[a]
-    if op in (SIN, COS, MSIN) or left is None:
+    if op in _TRIG_OPS or left is None:
         return None
     if op == NEG:
         c, lin = left
@@ -288,7 +309,7 @@ def _affine_step(op: int, a, b, done: list[_AffinePair | None]) -> _AffinePair |
     if op == POW:
         c, lin = left
         if b == 1:
-            return c, lin
+            return c, lin if readers[a] == 1 else dict(lin)
         if lin:
             return None
         if max(c.numerator.bit_length(), c.denominator.bit_length()) * b > _MAX_FOLD_BITS:
@@ -300,10 +321,12 @@ def _affine_step(op: int, a, b, done: list[_AffinePair | None]) -> _AffinePair |
     if op == ADD or op == SUB:
         sign = 1 if op == ADD else -1
         c = left[0] + sign * right[0]
-        lin = dict(left[1])
+        lin = left[1] if readers[a] == 1 else dict(left[1])
         for name, coeff in right[1].items():
-            lin[name] = lin.get(name, Fraction(0)) + sign * coeff
-        return c, lin
+            lin[name] = total = lin.get(name, Fraction(0)) + sign * coeff
+            if _too_big(total):
+                return None
+        return None if _too_big(c) else (c, lin)
     if op == MUL:
         if not left[1]:
             scale, other = left[0], right
@@ -311,12 +334,20 @@ def _affine_step(op: int, a, b, done: list[_AffinePair | None]) -> _AffinePair |
             scale, other = right[0], left
         else:
             return None  # bilinear
-        return scale * other[0], {name: scale * coeff for name, coeff in other[1].items()}
+        return _scaled(other, scale)
     # DIV
     if right[1] or right[0] == 0:
         return None
-    inv = 1 / right[0]
-    return left[0] * inv, {name: coeff * inv for name, coeff in left[1].items()}
+    return _scaled(left, 1 / right[0])
+
+
+def _scaled(pair: _AffinePair, factor: Fraction) -> _AffinePair | None:
+    """factor * pair, or None when a product exceeds the fold bound."""
+    c = pair[0] * factor
+    lin = {name: coeff * factor for name, coeff in pair[1].items()}
+    if _too_big(c) or any(_too_big(coeff) for coeff in lin.values()):
+        return None
+    return c, lin
 
 
 def exact_affine_range(

@@ -1,8 +1,10 @@
 """Deterministic generators shared by the property and acceptance suites,
-tree-walking reference evaluators that the compiled tape is tested against,
-the quadratic alternation check and brute-force assignment search that the
-solvers' fast paths are tested against, and the affine vertex oracle that
-the exact affine route is tested against.
+and the slow references that the fast paths are tested against: the
+four-corner interval product and quotient (for the sign-case kernels),
+tree-walking evaluators built on them and a tree-walking affine fold (for
+the compiled tape), the quadratic alternation check and brute-force
+assignment search (for the solvers), and the affine vertex oracle (for the
+exact affine route).
 
 Everything here is seeded by the caller; the same rng state always yields the
 same problems, so failures reproduce exactly.
@@ -37,17 +39,20 @@ from quantrange.exprs import (
 )
 from quantrange.intervals import (
     EMPTY,
+    DivisionByZeroInterval,
     Interval,
     MaybeInterval,
+    div_down,
+    div_up,
     is_empty,
     iv_add,
     iv_cos,
-    iv_div,
-    iv_mul,
     iv_neg,
     iv_pow,
     iv_sin,
     iv_sub,
+    mul_down,
+    mul_up,
 )
 from quantrange.problem import (
     Block,
@@ -157,6 +162,45 @@ def make_random_problem(rng: random.Random, n_outputs: int = 1) -> QuantifiedPro
 
 
 # ---------------------------------------------------------------------------
+# Reference interval kernels: min/max over all four directed corners
+# ---------------------------------------------------------------------------
+
+
+def oracle_iv_mul(a: Interval, b: Interval) -> Interval:
+    lo = min(
+        mul_down(a.lo, b.lo),
+        mul_down(a.lo, b.hi),
+        mul_down(a.hi, b.lo),
+        mul_down(a.hi, b.hi),
+    )
+    hi = max(
+        mul_up(a.lo, b.lo),
+        mul_up(a.lo, b.hi),
+        mul_up(a.hi, b.lo),
+        mul_up(a.hi, b.hi),
+    )
+    return Interval(lo, hi)
+
+
+def oracle_iv_div(a: Interval, b: Interval) -> Interval:
+    if b.lo <= 0.0 <= b.hi:
+        raise DivisionByZeroInterval(f"division by zero-containing interval {b}")
+    lo = min(
+        div_down(a.lo, b.lo),
+        div_down(a.lo, b.hi),
+        div_down(a.hi, b.lo),
+        div_down(a.hi, b.hi),
+    )
+    hi = max(
+        div_up(a.lo, b.lo),
+        div_up(a.lo, b.hi),
+        div_up(a.hi, b.lo),
+        div_up(a.hi, b.hi),
+    )
+    return Interval(lo, hi)
+
+
+# ---------------------------------------------------------------------------
 # Reference evaluators: one combine per node over a post-order tree walk
 # ---------------------------------------------------------------------------
 
@@ -202,9 +246,9 @@ def oracle_eval_interval(e: Expr, env: Mapping[str, Interval]) -> Interval:
         if isinstance(node, Sub):
             return iv_sub(kids[0], kids[1])
         if isinstance(node, Mul):
-            return iv_mul(kids[0], kids[1])
+            return oracle_iv_mul(kids[0], kids[1])
         if isinstance(node, Div):
-            return iv_div(kids[0], kids[1])
+            return oracle_iv_div(kids[0], kids[1])
         if isinstance(node, Neg):
             return iv_neg(kids[0])
         if isinstance(node, Pow):
@@ -261,9 +305,9 @@ def _merge_linear(
     """Sparse combine fa*da + fb*db (None factor means identity)."""
     out: dict[str, Interval] = {}
     for name, d in da.items():
-        out[name] = d if fa is None else iv_mul(fa, d)
+        out[name] = d if fa is None else oracle_iv_mul(fa, d)
     for name, d in db.items():
-        term = d if fb is None else iv_mul(fb, d)
+        term = d if fb is None else oracle_iv_mul(fb, d)
         prev = out.get(name)
         out[name] = term if prev is None else iv_add(prev, term)
     return out
@@ -286,18 +330,18 @@ def _oracle_grad(e: Expr, env: Mapping[str, Interval]) -> _GradPair:
             return iv_sub(va, vb), _merge_linear(da, db, None, Interval(-1.0, -1.0))
         if isinstance(node, Mul):
             (va, da), (vb, db) = kids
-            return iv_mul(va, vb), _merge_linear(da, db, vb, va)
+            return oracle_iv_mul(va, vb), _merge_linear(da, db, vb, va)
         if isinstance(node, Div):
             (va, da), (vb, db) = kids
-            val = iv_div(va, vb)
+            val = oracle_iv_div(va, vb)
             # d(a/b) = (da - (a/b)*db) / b
             out: dict[str, Interval] = {}
             for name in da.keys() | db.keys():
                 num = da.get(name, _ZERO)
                 d_b = db.get(name)
                 if d_b is not None:
-                    num = iv_sub(num, iv_mul(val, d_b))
-                out[name] = iv_div(num, vb)
+                    num = iv_sub(num, oracle_iv_mul(val, d_b))
+                out[name] = oracle_iv_div(num, vb)
             return val, out
         if isinstance(node, Neg):
             va, da = kids[0]
@@ -308,16 +352,16 @@ def _oracle_grad(e: Expr, env: Mapping[str, Interval]) -> _GradPair:
             if node.exponent == 0:
                 return val, {}
             n = float(node.exponent)
-            factor = iv_mul(Interval(n, n), iv_pow(va, node.exponent - 1))
-            return val, {name: iv_mul(factor, d) for name, d in da.items()}
+            factor = oracle_iv_mul(Interval(n, n), iv_pow(va, node.exponent - 1))
+            return val, {name: oracle_iv_mul(factor, d) for name, d in da.items()}
         if isinstance(node, Sin):
             va, da = kids[0]
             factor = iv_cos(va)
-            return iv_sin(va), {name: iv_mul(factor, d) for name, d in da.items()}
+            return iv_sin(va), {name: oracle_iv_mul(factor, d) for name, d in da.items()}
         if isinstance(node, Cos):
             va, da = kids[0]
             factor = iv_neg(iv_sin(va))
-            return iv_cos(va), {name: iv_mul(factor, d) for name, d in da.items()}
+            return iv_cos(va), {name: oracle_iv_mul(factor, d) for name, d in da.items()}
         (vu, du_map), (vv, dv_map) = kids
         value, d_du, d_dv = msin_enclosures(vu, vv)
         return value, _merge_linear(du_map, dv_map, d_du, d_dv)
@@ -328,6 +372,59 @@ def _oracle_grad(e: Expr, env: Mapping[str, Interval]) -> _GradPair:
 def oracle_eval_grad(e: Expr, env: Mapping[str, Interval]) -> GradEnclosure:
     value, sparse = _oracle_grad(e, env)
     return GradEnclosure(value, {name: sparse.get(name, _ZERO) for name in env})
+
+
+_MAX_FOLD_BITS = 1 << 16  # scalar._MAX_FOLD_BITS
+
+
+def _foldable(values: Sequence[Fraction]) -> bool:
+    return all(max(v.numerator.bit_length(), v.denominator.bit_length()) <= _MAX_FOLD_BITS for v in values)
+
+
+_AffinePair = tuple[Fraction, dict[str, Fraction]]
+
+
+def oracle_affine_coefficients(e: Expr) -> _AffinePair | None:
+    """scalar.affine_coefficients as a tree walk that folds every node,
+    copies every coefficient dict and bounds every folded value."""
+
+    def combine(node: Expr, kids: tuple[_AffinePair | None, ...]) -> _AffinePair | None:
+        if isinstance(node, Const):
+            return Fraction(node.value), {}
+        if isinstance(node, Var):
+            return Fraction(0), {node.name: Fraction(1)}
+        if isinstance(node, Pow) and node.exponent == 0:
+            return Fraction(1), {}
+        if isinstance(node, (Sin, Cos, Msin)) or any(k is None for k in kids):
+            return None
+        if isinstance(node, Neg):
+            c, lin = kids[0]
+            return -c, {name: -coeff for name, coeff in lin.items()}
+        if isinstance(node, Pow):
+            c, lin = kids[0]
+            if node.exponent == 1:
+                return c, dict(lin)
+            if lin or max(c.numerator.bit_length(), c.denominator.bit_length()) * node.exponent > _MAX_FOLD_BITS:
+                return None
+            return c**node.exponent, {}
+        (ca, la), (cb, lb) = kids
+        if isinstance(node, (Add, Sub)):
+            sign = 1 if isinstance(node, Add) else -1
+            c, lin = ca + sign * cb, dict(la)
+            for name, coeff in lb.items():
+                lin[name] = lin.get(name, Fraction(0)) + sign * coeff
+        elif isinstance(node, Mul):
+            if la and lb:
+                return None
+            scale, (c, lin) = (ca, (cb, lb)) if not la else (cb, (ca, la))
+            c, lin = c * scale, {name: coeff * scale for name, coeff in lin.items()}
+        else:  # Div
+            if lb or cb == 0:
+                return None
+            c, lin = ca / cb, {name: coeff / cb for name, coeff in la.items()}
+        return (c, lin) if _foldable([c, *lin.values()]) else None
+
+    return fold_postorder(e, combine)
 
 
 def _oracle_estimate(expr, blocks, grids, env, i):

@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -150,6 +151,29 @@ class TestSolveJson:
         assert entry["outer"] is None and entry["outer_empty"] is True
         assert report["joint"]["inner"] is None
         assert report["joint"]["outer"] is None
+
+
+    @pytest.mark.parametrize("op, y", [("*", 1.0242394083360167), ("/", 1.134364244112401)])
+    def test_huge_operands_keep_the_point_inside_the_outer_bound(self, capsys, write_problem, op, y):
+        # Beyond 2**996 Dekker's split overflowed and the directed product
+        # and quotient rounded to nearest, so the outer bound missed the point.
+        x = 7.967744395866206e301
+        path = write_problem(
+            {
+                "schema": 1,
+                "blocks": [{"quantifier": "exists"}],
+                "variables": [
+                    {"name": "x", "block": 0, "domain": [x, x]},
+                    {"name": "y", "block": 0, "domain": [y, y]},
+                ],
+                "outputs": [{"name": "f", "expr": f"x{op}y"}],
+            }
+        )
+        exact = Fraction(x) * Fraction(y) if op == "*" else Fraction(x) / Fraction(y)
+        entry = run_json_solve(capsys, path)["outputs"][0]
+        lo, hi = entry["outer"]
+        assert Fraction(lo) <= exact <= Fraction(hi)
+        assert entry["inner"] is None  # the one point is not a float
 
 
 class TestAssignmentStrategies:

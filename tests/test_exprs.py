@@ -9,6 +9,7 @@ checked bit for bit against the tree-walking oracles in helpers.py.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,8 +49,14 @@ from quantrange.exprs import (
     variables_of,
 )
 from quantrange.intervals import DivisionByZeroInterval, Interval
+from quantrange.scalar import affine_coefficients
 
-from helpers import oracle_eval_grad, oracle_eval_interval, oracle_eval_point
+from helpers import (
+    oracle_affine_coefficients,
+    oracle_eval_grad,
+    oracle_eval_interval,
+    oracle_eval_point,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +491,16 @@ class TestTape:
         tape = compile_expr(Add(Mul(s, s), s))
         assert [ins[0] for ins in tape.code] == [VAR, SIN, MUL, ADD]
         assert tape.code[2] == (MUL, 1, 1) and tape.code[3] == (ADD, 2, 1)
+        # sin(x) is read by both operands of the product and by the sum
+        assert tape.readers == (1, 3, 1, 0)
+
+    def test_readers_count_operand_positions(self):
+        assert compile_expr(parse("x + y + z")).readers == (1, 1, 1, 1, 0)
+        x = Var("x")
+        tape = compile_expr(Add(Add(x, x), Pow(x, 2)))
+        assert tape.readers == (3, 1, 1, 0)
+        box = {"x": Interval(-1.0, 2.0)}
+        assert eval_grad(tape, box) == oracle_eval_grad(Add(Add(x, x), Pow(x, 2)), box)
 
     def test_operands_hold_value_name_and_exponent(self):
         tape = compile_expr(parse("x^3 + 0.5"))
@@ -578,6 +595,18 @@ class TestTapeMatchesOracles:
     def test_gradient(self, shape, data):
         expr, env = data.draw(_SHAPES[shape]), data.draw(_box_env())
         assert _outcome(eval_grad, compile_expr(expr), env) == _outcome(oracle_eval_grad, expr, env)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_affine_coefficients(self, shape, data):
+        expr = data.draw(_SHAPES[shape])
+        assert affine_coefficients(compile_expr(expr)) == oracle_affine_coefficients(expr)
+
+
+def test_affine_fold_through_a_zero_power_of_a_trigonometric_node():
+    for text in ("sin(x)^0 + x", "x + msin(x, y)^0*1"):
+        expr = parse(text)
+        assert affine_coefficients(expr) == oracle_affine_coefficients(expr) == (Fraction(1), {"x": Fraction(1)})
 
 
 def test_missing_variable_is_the_oracles_first():

@@ -2,7 +2,9 @@
 
 The core contract under test: every operation returns bounds that bracket the
 exact real result (verified against rational arithmetic), and stays within a
-couple of ULPs of the optimal float bounds.
+couple of ULPs of the optimal float bounds, over the whole finite range.
+The sign-case product and quotient are checked bit for bit against the
+four-corner oracles in helpers.py.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from quantrange import intervals
 from quantrange.intervals import (
     EMPTY,
     DivisionByZeroInterval,
@@ -41,9 +44,27 @@ from quantrange.intervals import (
     two_sum,
 )
 
-FINITE = st.floats(
-    allow_nan=False, allow_infinity=False, min_value=-1e150, max_value=1e150
-)
+from helpers import oracle_iv_div, oracle_iv_mul
+
+# The whole finite range: subnormals, +-0.0 and operands near the float
+# maximum included.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_MAX = Fraction(sys.float_info.max)
+
+
+def _assert_brackets_within_one_ulp(lo: float, hi: float, exact: Fraction, nearest: float) -> None:
+    """lo <= exact <= hi, each bound within one ULP of the nearest float.
+
+    A result that overflows to +-inf is the only case set aside; an infinite
+    bound next to a finite nearest value is compared as an extended real.
+    """
+    if math.isinf(nearest):
+        assert abs(exact) > _MAX
+        return
+    assert lo == -math.inf or Fraction(lo) <= exact
+    assert hi == math.inf or exact <= Fraction(hi)
+    assert lo >= math.nextafter(nearest, -math.inf)
+    assert hi <= math.nextafter(nearest, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +127,18 @@ class TestDirectedRounding:
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_two_sum_is_exact(self, a, b):
         s, e = two_sum(a, b)
+        if math.isinf(s):
+            assert abs(Fraction(a) + Fraction(b)) > _MAX
+            return
         assert Fraction(s) + Fraction(e) == Fraction(a) + Fraction(b)
 
     @given(FINITE, FINITE)
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_two_product_is_exact_in_normal_range(self, a, b):
         p, e = two_product(a, b)
+        if math.isinf(p):
+            assert abs(Fraction(a) * Fraction(b)) > _MAX
+            return
         if p != 0.0 and abs(p) > 1e-290:
             assert Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b)
 
@@ -119,36 +146,37 @@ class TestDirectedRounding:
     @settings(max_examples=500, deadline=None, derandomize=True)
     def test_add_brackets_exact_sum_within_one_ulp(self, a, b):
         exact = Fraction(a) + Fraction(b)
-        lo, hi = add_down(a, b), add_up(a, b)
-        assert Fraction(lo) <= exact <= Fraction(hi)
-        nearest = a + b
-        assert lo >= math.nextafter(nearest, -math.inf)
-        assert hi <= math.nextafter(nearest, math.inf)
+        _assert_brackets_within_one_ulp(add_down(a, b), add_up(a, b), exact, a + b)
 
     @given(FINITE, FINITE)
     @settings(max_examples=500, deadline=None, derandomize=True)
     def test_mul_brackets_exact_product_within_one_ulp(self, a, b):
         exact = Fraction(a) * Fraction(b)
-        lo, hi = mul_down(a, b), mul_up(a, b)
-        assert Fraction(lo) <= exact <= Fraction(hi)
-        nearest = a * b
-        assert lo >= math.nextafter(nearest, -math.inf)
-        assert hi <= math.nextafter(nearest, math.inf)
+        _assert_brackets_within_one_ulp(mul_down(a, b), mul_up(a, b), exact, a * b)
 
-    @given(
-        st.floats(allow_nan=False, allow_infinity=False, min_value=-1e100, max_value=1e100),
-        st.floats(allow_nan=False, allow_infinity=False, min_value=-1e100, max_value=1e100),
-    )
+    @given(FINITE, FINITE)
     @settings(max_examples=500, deadline=None, derandomize=True)
     def test_div_brackets_exact_quotient_within_one_ulp(self, x, y):
-        if abs(y) < 1e-100:
-            return
+        assume(y != 0.0)
         exact = Fraction(x) / Fraction(y)
-        lo, hi = div_down(x, y), div_up(x, y)
-        assert Fraction(lo) <= exact <= Fraction(hi)
-        nearest = x / y
-        assert lo >= math.nextafter(nearest, -math.inf)
-        assert hi <= math.nextafter(nearest, math.inf)
+        _assert_brackets_within_one_ulp(div_down(x, y), div_up(x, y), exact, x / y)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (7.967744395866206e301, 1.0242394083360167),  # the split of a overflows
+            (2.0**997 + 2.0**946, 1.0 + 2.0**-52),
+            (-(2.0**1000) * 1.1, 3.3e-7),
+            (1.3e154, 1.25e154),  # a partial product beyond 2**995
+            (sys.float_info.max * 0.75, 1.3),
+        ],
+    )
+    def test_huge_operands_round_outward(self, a, b):
+        exact = Fraction(a) * Fraction(b)
+        assert Fraction(mul_down(a, b)) < exact < Fraction(mul_up(a, b))
+        quotient = Fraction(a) / Fraction(b)
+        assert Fraction(div_down(a, b)) < quotient < Fraction(div_up(a, b))
+        assert Fraction(div_down(b, a)) < 1 / quotient < Fraction(div_up(b, a))
 
     def test_exact_dyadic_operations_are_not_widened(self):
         assert add_down(0.25, 0.5) == 0.75 == add_up(0.25, 0.5)
@@ -228,9 +256,15 @@ class TestIntervalArithmetic:
     def test_mul_containment_fuzz(self, ab, cd, t, u):
         a = Interval(ab[0], ab[1])
         b = Interval(cd[0], cd[1])
+        corners = [f(p, q) for f in (mul_down, mul_up) for p in (a.lo, a.hi) for q in (b.lo, b.hi)]
+        if any(math.isinf(c) for c in corners):
+            with pytest.raises(ValueError):  # an overflowing product is refused
+                iv_mul(a, b)
+            return
         got = iv_mul(a, b)
-        x = min(max(a.lo + t * (a.hi - a.lo), a.lo), a.hi)
-        y = min(max(b.lo + u * (b.hi - b.lo), b.lo), b.hi)
+        # (1 - t)*lo + t*hi cannot overflow to nan the way lo + t*(hi - lo) can
+        x = min(max(a.lo * (1.0 - t) + a.hi * t, a.lo), a.hi)
+        y = min(max(b.lo * (1.0 - u) + b.hi * u, b.lo), b.hi)
         exact = Fraction(x) * Fraction(y)
         assert Fraction(got.lo) <= exact <= Fraction(got.hi)
 
@@ -263,6 +297,78 @@ class TestIntervalArithmetic:
     def test_pow_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             iv_pow(Interval(1.0, 2.0), -1)
+
+
+# Interval bounds drawn so that every sign class, +-0.0, subnormals and the
+# float maximum come up often.
+_BOUND = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max]),
+    FINITE,
+    st.floats(-4.0, 4.0),
+)
+_INTERVAL = st.tuples(_BOUND, _BOUND).map(sorted).map(lambda p: Interval(*p))
+
+
+def _kernel_outcome(fn, a, b):
+    """repr of the result, or the type and message of the error raised."""
+    try:
+        return repr(fn(a, b))
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def _count_calls(monkeypatch, *names):
+    calls = []
+    for name in names:
+        fn = getattr(intervals, name)
+        monkeypatch.setattr(intervals, name, lambda x, y, fn=fn, name=name: calls.append(name) or fn(x, y))
+    return calls
+
+
+class TestSignCaseKernels:
+    @given(_INTERVAL, _INTERVAL)
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    def test_mul_matches_four_corner_oracle(self, a, b):
+        assert _kernel_outcome(iv_mul, a, b) == _kernel_outcome(oracle_iv_mul, a, b)
+
+    @given(_INTERVAL, _INTERVAL)
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    def test_div_matches_four_corner_oracle(self, a, b):
+        assert _kernel_outcome(iv_div, a, b) == _kernel_outcome(oracle_iv_div, a, b)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (Interval(1.0, 2.0), Interval(3.0, 4.0)),
+            (Interval(-2.0, -1.0), Interval(3.0, 4.0)),
+            (Interval(0.0, 2.0), Interval(-4.0, -3.0)),
+            (Interval(-2.0, 1.0), Interval(3.0, 4.0)),
+            (Interval(1.0, 2.0), Interval(-3.0, 4.0)),
+        ],
+    )
+    def test_one_directed_product_per_bound_unless_both_straddle(self, monkeypatch, a, b):
+        calls = _count_calls(monkeypatch, "mul_down", "mul_up")
+        iv_mul(a, b)
+        assert sorted(calls) == ["mul_down", "mul_up"]
+
+    def test_two_straddling_factors_compare_two_corners_per_bound(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "mul_down", "mul_up")
+        assert iv_mul(Interval(-2.0, 3.0), Interval(-1.0, 4.0)) == Interval(-8.0, 12.0)
+        assert sorted(calls) == ["mul_down", "mul_down", "mul_up", "mul_up"]
+
+    @pytest.mark.parametrize("a", [Interval(1.0, 2.0), Interval(-2.0, -1.0), Interval(-1.0, 2.0)])
+    @pytest.mark.parametrize("b", [Interval(3.0, 4.0), Interval(-4.0, -3.0)])
+    def test_one_directed_quotient_per_bound(self, monkeypatch, a, b):
+        calls = _count_calls(monkeypatch, "div_down", "div_up")
+        iv_div(a, b)
+        assert sorted(calls) == ["div_down", "div_up"]
+
+    def test_results_match_the_public_constructor(self):
+        got = iv_mul(Interval(-0.0, 1.0), Interval(-1.0, 0.0))
+        assert type(got) is Interval and got == Interval(-1.0, 0.0)
+        assert math.copysign(1.0, got.hi) == 1.0  # -0.0 normalised
+        with pytest.raises(ValueError, match="must be finite"):
+            iv_mul(Interval(1e300, 1e300), Interval(1e300, 1e300))
 
 
 class TestTrig:

@@ -7,12 +7,16 @@ implementation and cross-checked by hand where tractable.
 
 from __future__ import annotations
 
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantrange.exprs import parse
+from quantrange import scalar
+from quantrange.benchgen import linear_problem
+from quantrange.exprs import compile_expr, parse
 from quantrange.intervals import EMPTY, Interval, is_empty
 from quantrange.problem import Block, Output, QuantifiedProblem, Quantifier, VariableSpec
 from quantrange.problemfile import load_problem
@@ -25,6 +29,7 @@ from quantrange.scalar import (
     assemble_bounds,
     contribution_rows,
     exact_affine_range,
+    prepare,
     solve_scalar,
 )
 
@@ -258,6 +263,38 @@ class TestAffineCoefficients:
         assert affine_coefficients(parse("x + (1.0000001^1024)^1024")) is None
         assert affine_coefficients(parse("((1.0000001^1024)^1024)^1024")) is None
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x + (1.0000001^1024)*(1.0000001^1024)",
+            "x + 1.0000001^1024 + 1/1.0000001^1024",
+            "x/1.0000001^1024/1.0000001^1024",
+            "(1.0000001^1024)*x*(1.0000001^1024)",
+        ],
+    )
+    def test_sums_products_and_quotients_fold_up_to_the_bit_bound(self, text):
+        # each power folds to about 54,000 bits; combining two exceeds 65,536
+        assert affine_coefficients(parse(text)) is None
+
+    def test_long_product_of_large_constants_leaves_for_the_mean_value_route(self):
+        # about 7 s of rational gcds when every product was folded
+        text = "x + " + "*".join(["(1.0000001^1024)"] * 30)
+        problem = _simple_problem(text, [("x", -1.0, 1.0, 0.0)], [_b(EX, "x")])
+        start = time.perf_counter()
+        result = solve_scalar(problem, problem.outputs[0].expr)
+        assert time.perf_counter() - start < 1.0
+        assert result.method == "mean-value"
+
+    def test_trigonometric_tape_without_a_zero_power_is_not_folded(self, monkeypatch):
+        calls = []
+        fold = scalar._affine_step
+        monkeypatch.setattr(scalar, "_affine_step", lambda *args: calls.append(args[0]) or fold(*args))
+        assert affine_coefficients(parse("x + 2*msin(x, y)")) is None
+        assert calls == []
+        tape = compile_expr(parse("x + msin(x, y)^0"))
+        assert affine_coefficients(tape) == (Fraction(1), {"x": Fraction(1)})
+        assert len(calls) == len(tape.code)
+
     def test_dropped_terms_cancel(self):
         got = affine_coefficients(parse("x - x + y"))
         assert got == (Fraction(0), {"x": Fraction(0), "y": Fraction(1)})
@@ -410,3 +447,16 @@ class TestSuppliedRowsFixture:
         assert results["y"].outer == Interval(-0.10763090000000002, 0.10763090000000002)
         assert results["theta"].inner == Interval(-0.01, 0.01)
         assert results["theta"].outer == Interval(-0.02, 0.02)
+
+
+class TestPrepareCost:
+    def test_prepare_memory_is_linear_in_a_long_sum(self):
+        # about 10 MB when each sum copied its left operand's partial dict
+        problem = linear_problem(400)
+        tracemalloc.start()
+        try:
+            prepare(problem, problem.outputs[0].expr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
