@@ -2,9 +2,9 @@
 and the slow references that the fast paths are tested against: the
 four-corner interval product and quotient (for the sign-case kernels),
 tree-walking evaluators built on them and a tree-walking affine fold (for
-the compiled tape), the quadratic alternation check and brute-force
-assignment search (for the solvers), and the affine vertex oracle (for the
-exact affine route).
+the compiled tape), the quadratic alternation check, the inner bound of
+one assembly alone and brute-force assignment search (for the solvers),
+and the affine vertex oracle (for the exact affine route).
 
 Everything here is seeded by the caller; the same rng state always yields the
 same problems, so failures reproduce exactly.
@@ -44,6 +44,8 @@ from quantrange.intervals import (
     MaybeInterval,
     div_down,
     div_up,
+    frac_to_float_down,
+    frac_to_float_up,
     is_empty,
     iv_add,
     iv_cos,
@@ -62,7 +64,7 @@ from quantrange.problem import (
     VariableSpec,
 )
 from quantrange.sampling import _grid, sampling_estimate
-from quantrange.scalar import PreparedOutput, assemble
+from quantrange.scalar import ZERO_ROW, PreparedOutput, assemble, exact_affine_range
 from quantrange.vectorsolve import derived_blocks
 
 
@@ -475,6 +477,32 @@ def oracle_first_failing_pair(
         if forall_widths[l] > rhs:
             return l + 1
     return None
+
+
+def oracle_inner(prepared: PreparedOutput, problem: QuantifiedProblem) -> MaybeInterval:
+    """assemble(prepared, problem).inner without the outer half (which can
+    fail on its own): the exact range or the exact row sums per normalized
+    pair, the quadratic alternation check, and inward rounding."""
+    if prepared.affine is not None:
+        exact = exact_affine_range(*prepared.affine, problem)
+        if exact is None:
+            return EMPTY
+        lo, hi = exact
+    else:
+        sums = []  # (inner lo, inner hi, outer lo, outer hi) per normalized block
+        for block in problem.normalized():
+            total = [Fraction(0)] * 4
+            for row in (prepared.rows.get(n, ZERO_ROW) for n in block.names):
+                for k, x in enumerate((row.inner.lo, row.inner.hi, row.outer.lo, row.outer.hi)):
+                    total[k] += Fraction(x)
+            sums.append(total)
+        fa, ex = sums[0::2], sums[1::2]
+        if oracle_first_failing_pair([s[3] - s[2] for s in fa], [s[1] - s[0] for s in ex]):
+            return EMPTY
+        lo = Fraction(prepared.fc.hi) + sum(s[3] for s in fa) + sum(s[0] for s in ex)
+        hi = Fraction(prepared.fc.lo) + sum(s[2] for s in fa) + sum(s[1] for s in ex)
+    lo_f, hi_f = frac_to_float_up(lo), frac_to_float_down(hi)
+    return Interval(lo_f, hi_f) if lo_f <= hi_f else EMPTY
 
 
 def oracle_exhaustive_assignment(

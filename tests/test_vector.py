@@ -4,17 +4,21 @@ and the exhaustive/greedy assignment searches."""
 
 from __future__ import annotations
 
+import json
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantrange import vectorsolve
+from quantrange import exprs, problemfile, vectorsolve
+from quantrange import problem as problem_module
+from quantrange.benchgen import motion_problem
 from quantrange.exprs import parse
 from quantrange.intervals import EMPTY, Interval, is_empty
 from quantrange.problem import Block, Output, QuantifiedProblem, Quantifier, VariableSpec
-from quantrange.problemfile import load_problem
-from quantrange.scalar import ZERO_ROW, ContributionRow, prepare, solve_scalar
+from quantrange.problemfile import load_problem, parse_problem, problem_to_json
+from quantrange.scalar import ZERO_ROW, ContributionRow, assemble, prepare, solve_scalar
 from quantrange.vectorsolve import (
     ComponentResult,
     OutputError,
@@ -25,7 +29,7 @@ from quantrange.vectorsolve import (
 )
 
 from conftest import FIXTURES
-from helpers import oracle_exhaustive_assignment
+from helpers import oracle_exhaustive_assignment, oracle_inner
 
 FA = Quantifier.FORALL
 EX = Quantifier.EXISTS
@@ -309,38 +313,86 @@ def _assemblies(fixture, monkeypatch):
     return solve_vector(loaded.problem, supplied=loaded.supplied), calls[0]
 
 
+def _reported_kept_sets(res):
+    """Distinct (component, kept set) among each component's keep-everything
+    entry and its chosen one: what the result reports."""
+    names = tuple(res.assignment)
+    chosen = {(j, tuple(res.assignment[n] == j for n in names)) for j in range(len(res.components))}
+    return chosen | {(j, (True,) * len(names)) for j in range(len(res.components))}
+
+
 def test_joint_fixture_assembles_once_per_kept_set(monkeypatch):
-    """The search, the outer bounds and the final inner box all read the
-    kept-set memo: exactly m*2^e assemblies, one per (component, kept set)."""
+    """The search scores kept sets without assembling them: each output's
+    outer bound (its keep-everything entry) and its chosen inner box are
+    assembled, once each, as no component keeps every existential."""
     res, calls = _assemblies("dubbins_joint.json", monkeypatch)
     m, e = len(res.components), len(res.assignment)
     assert (m, e) == (3, 7)
-    assert calls == m * 2**e
+    assert calls == len(_reported_kept_sets(res)) == 2 * m
 
 
 @pytest.mark.parametrize(
     "fixture, assemblies",
     [
-        ("dubbins_flow.json", 3 * 2**5),
-        ("linear_system.json", 2 * 2**3),
+        # x keeps the one existential: its two entries are one kept set
+        ("dubbins_flow.json", 1 + 2 + 2),
+        ("linear_system.json", 2 + 2),
         # one output: a single kept set, read for both bounds
         ("dubbins_taylor.json", 1),
         ("nonlinear_scalar.json", 1),
     ],
 )
 def test_each_kept_set_is_assembled_exactly_once(fixture, assemblies, monkeypatch):
-    """m*2^e assemblies for m outputs and e existentials when the search is
-    exhaustive (the outer bounds among them), and one per output when m = 1."""
+    """assemble runs once per distinct kept set among each component's
+    keep-everything entry and its chosen one: at most 2m times."""
     res, calls = _assemblies(fixture, monkeypatch)
-    m, e = len(res.components), len(res.assignment)
     assert res.strategy_used == "exhaustive"
-    assert calls == assemblies == (m * 2**e if m > 1 else m)
+    assert calls == assemblies == len(_reported_kept_sets(res)) <= 2 * len(res.components)
+
+
+def test_joint_fixture_scores_few_kept_sets(monkeypatch):
+    """Branch-and-bound scores far fewer than the m*2^e kept sets that an
+    exhaustive search reads, each at most once."""
+    original = vectorsolve._InnerModel.score
+    scored = []
+
+    def counted(self, kept):
+        scored.append((id(self), kept))
+        return original(self, kept)
+
+    monkeypatch.setattr(vectorsolve._InnerModel, "score", counted)
+    loaded = load_problem(str(FIXTURES / "dubbins_joint.json"))
+    res = solve_vector(loaded.problem, supplied=loaded.supplied)
+    m, e = len(res.components), len(res.assignment)
+    assert (m, e) == (3, 7)
+    assert len(set(scored)) == len(scored) == 62 < m * 2**e
+
+
+def test_motion_solve_walks_each_output_tree_twice(monkeypatch):
+    """variables_of runs once when the file is parsed and once when the
+    problem is validated; the solve itself adds no walk."""
+    doc = json.loads(json.dumps(problem_to_json(motion_problem(10))))
+    calls = [0]
+    original = exprs.variables_of
+
+    def counted(expr):
+        calls[0] += 1
+        return original(expr)
+
+    for module in (problem_module, problemfile):
+        monkeypatch.setattr(module, "variables_of", counted)
+    loaded = parse_problem(doc)
+    solve_vector(loaded.problem, supplied=loaded.supplied)
+    assert len(loaded.problem.outputs) == 1
+    assert calls[0] == 2
 
 
 def test_a_failing_kept_set_assembly_is_named():
     """An assembly that fails only on a rewritten prefix still names its
     output: demoting e makes a's outer condition fail, and the fallback sum
-    of its outer rows overflows, while the original prefix is fine."""
+    of its outer rows overflows, while the original prefix is fine.  The
+    search only scores that kept set (its inner set is empty), so it fails
+    the solve only where the result reports it."""
     huge = ContributionRow(Interval(0.0, 0.0), Interval(-1e308, 1e308))
     rows = {"u": huge, "e": ContributionRow(Interval(-1.0, 1.0), Interval(-1e308, 1e308))}
     supplied = {"a": rows, "b": {"u": ZERO_ROW, "e": ZERO_ROW}}
@@ -349,10 +401,13 @@ def test_a_failing_kept_set_assembly_is_named():
         (_b(FA, "u"), _b(EX, "e")),
         (Output("a", parse("u + e")), Output("b", parse("u + e"))),
     )
-    res = solve_vector(p, supplied, pinned={"e": 0})
-    assert res.components[0].outer == Interval(-1e308, 1e308)
     with pytest.raises(OutputError, match=r"^output 'a': interval bounds must be finite"):
-        solve_vector(p, supplied)
+        solve_vector(p, supplied, pinned={"e": 1})
+    res = solve_vector(p, supplied)
+    assert res.assignment == {"e": 0}
+    assert res.components[0].outer == Interval(-1e308, 1e308)
+    assert is_empty(res.components[0].inner)
+    assert res.components[1].inner == Interval(0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -372,30 +427,39 @@ _ROWS = (
 
 
 @st.composite
-def _prefixes(draw):
-    """Up to 5 existentials and 2 universals in random order, plus the
-    number of outputs (2 or 3)."""
-    n_exist = draw(st.integers(0, 5))
+def _prefixes(draw, max_exist=(8, 6)):
+    """The number of outputs m (2 or 3), up to max_exist[m - 2]
+    existentials and up to 2 universals, in random order."""
+    m = draw(st.sampled_from((2, 3)))
+    n_exist = draw(st.integers(0, max_exist[m - 2]))
     n_forall = draw(st.integers(0, 2))
     names = [f"e{i}" for i in range(n_exist)] + [f"u{i}" for i in range(n_forall)]
     order = draw(st.permutations(names))
     blocks = tuple(_b(EX if n[0] == "e" else FA, n) for n in order)
     variables = tuple(VariableSpec(n, Interval(-1.0, 1.0), 0.0) for n in names)
-    return variables, blocks, draw(st.sampled_from((2, 3)))
+    return variables, blocks, m
+
+
+# The palette again, with rows of the smallest subnormal and of magnitude
+# 1e308, whose sums leave the float range.
+_WIDE_ROWS = _ROWS + (
+    ContributionRow(Interval(-5e-324, 5e-324), Interval(-5e-324, 5e-324)),
+    ContributionRow(Interval(0.0, 5e-324), Interval(-1e308, 5e-324)),
+    ContributionRow(Interval(-1e308, 1e308), Interval(-1e308, 1e308)),
+    ContributionRow(Interval(0.0, 0.0), Interval(-1e308, 1e308)),
+)
 
 
 @st.composite
-def _supplied_row_problems(draw):
-    variables, blocks, m = draw(_prefixes())
-    outputs = tuple(
-        Output(f"z{j}", parse(repr(draw(st.sampled_from((0.0, 0.25, -0.5)))))) for j in range(m)
-    )
+def _supplied_row_problems(draw, palette=_ROWS, centers=(0.0, 0.25, -0.5), max_exist=(8, 6)):
+    variables, blocks, m = draw(_prefixes(max_exist))
+    outputs = tuple(Output(f"z{j}", parse(repr(draw(st.sampled_from(centers))))) for j in range(m))
     supplied = {}
     for j, out in enumerate(outputs):
         if j and draw(st.booleans()):
             supplied[out.name] = supplied[outputs[j - 1].name]  # equal rows
             continue
-        rows = {v.name: draw(st.sampled_from(_ROWS)) for v in variables}
+        rows = {v.name: draw(st.sampled_from(palette)) for v in variables}
         # a missing row counts as zero: leave some zero rows out
         supplied[out.name] = {
             n: r for n, r in rows.items() if r is not ZERO_ROW or draw(st.booleans())
@@ -443,3 +507,106 @@ def test_derived_blocks_depend_only_on_the_kept_set(data):
         {n: j if n in kept else data.draw(others) for n in names} for _ in range(2)
     )
     assert derived_blocks(problem, j, first) == derived_blocks(problem, j, second)
+
+
+# ---------------------------------------------------------------------------
+# The integer kept-set scores against assembly
+# ---------------------------------------------------------------------------
+
+_DOMAINS = ((-1.0, 1.0), (0.1, 0.7), (-3.0, 0.25), (2.0, 2.0))
+
+
+@st.composite
+def _affine_problems(draw, max_exist=(6, 5)):
+    """Affine outputs with rational coefficients such as x/3 on mixed
+    domains, on the prefixes above."""
+    variables, blocks, m = draw(_prefixes(max_exist))
+    domains = [draw(st.sampled_from(_DOMAINS)) for _ in variables]
+    variables = tuple(
+        VariableSpec(v.name, Interval(lo, hi), (lo + hi) / 2)
+        for v, (lo, hi) in zip(variables, domains)
+    )
+    outputs = []
+    for j in range(m):
+        terms = [draw(st.sampled_from(("1/3", "0.25", "-2/7")))]
+        for v in variables:
+            coeff = draw(st.sampled_from(("", "1", "-2", "0.1", "1e300")))
+            if coeff:
+                terms.append(f"({coeff})*{v.name}/{draw(st.sampled_from((1, 3, 7)))}")
+        outputs.append(Output(f"z{j}", parse(" + ".join(terms))))
+    return QuantifiedProblem(variables, blocks, tuple(outputs)), None
+
+
+_KEPT_SET_CASES = st.one_of(
+    _supplied_row_problems(
+        palette=_WIDE_ROWS, centers=(0.0, -0.5, 5e-324, 1e308, -1e308), max_exist=(6, 6)
+    ),
+    _affine_problems(),
+)
+
+
+def _models(problem, supplied):
+    """(prepared output, integer model) per output."""
+    for out in problem.outputs:
+        p = prepare(problem, out.expr, None if supplied is None else supplied[out.name])
+        yield p, vectorsolve._InnerModel(p, problem)
+
+
+def _kept_sets(problem, j):
+    """(kept mask, rewritten problem) for every kept set of component j."""
+    names = existential_order(problem)
+    for kept in range(1 << len(names)):
+        assignment = {n: j if kept >> i & 1 else j + 1 for i, n in enumerate(names)}
+        yield kept, problem.with_blocks(derived_blocks(problem, j, assignment))
+
+
+@given(_KEPT_SET_CASES)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_integer_scores_match_assembly(case):
+    """On every kept set the model gives (nonempty, width in units of
+    2**-1074) of the assembled inner box bit for bit.  Where assemble fails
+    in its outer half, the inner box comes from oracle_inner, which is
+    checked against assemble everywhere else; neither ever fails."""
+    problem, supplied = case
+    for j, (p, model) in enumerate(_models(problem, supplied)):
+        for kept, rewritten in _kept_sets(problem, j):
+            want = oracle_inner(p, rewritten)
+            try:
+                assembled = assemble(p, rewritten)
+            except ValueError:
+                pass
+            else:
+                assert repr(assembled.inner) == repr(want)
+            if is_empty(want):
+                assert model.score(kept) == (0, 0)
+            else:
+                width = (Fraction(want.hi) - Fraction(want.lo)) * 2**1074
+                assert model.score(kept) == (1, width)
+
+
+@given(_KEPT_SET_CASES)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_score_is_monotone_in_the_kept_set(case):
+    """Keeping one more existential never loses nonemptiness or width: the
+    property that makes the branch-and-bound bound admissible."""
+    problem, supplied = case
+    e = len(existential_order(problem))
+    for p, model in _models(problem, supplied):
+        for kept in range(1 << e):
+            n, w = model.score(kept)
+            for i in range(e):
+                more = model.score(kept | 1 << i)
+                assert more[0] >= n and more[1] >= w
+
+
+@given(_affine_problems())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_search_on_affine_outputs_matches_brute_force(case):
+    """The search scores affine outputs through the same model: the same
+    assignment as brute force over assembled exact ranges."""
+    problem, _ = case
+    res = solve_vector(problem)
+    prepared = [prepare(problem, o.expr) for o in problem.outputs]
+    assert res.assignment == oracle_exhaustive_assignment(
+        problem, prepared, existential_order(problem)
+    )
