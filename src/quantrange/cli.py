@@ -44,12 +44,11 @@ from .sampling import (
     sampling_estimate,
     work_digits,
 )
-from .vectorsolve import VectorResult, solve_vector
+from .vectorsolve import DEFAULT_EXHAUSTIVE_LIMIT, VectorResult, solve_vector
 
 __all__ = ["main"]
 
 DEFAULT_SAMPLING_BUDGET = 7.0  # digits: refuse more than ~1e7 evaluation points
-DEFAULT_EXHAUSTIVE_LIMIT = 4096
 _BENCH_SAMPLING_BUDGET = 6.0
 
 

@@ -23,14 +23,16 @@ widths across later pairs; a failed inner condition yields the empty inner
 set (always sound) and a failed outer condition falls back to the plain
 mean-value range enclosure f(c) + sum of all outer rows.
 
-Assembly is performed in exact rational arithmetic on the rounded row
-endpoints, so the validity conditions are decided exactly; final endpoints
-are converted to float directed inward (inner) or outward (outer).
-
 Affine expressions take an exact path instead: after rescaling each domain
 to [-1, 1], per-block coefficient norms decide emptiness and give the
-quantified range exactly (in rationals), with the same alternation
-condition.  For affine f the inner and outer results coincide.
+quantified range exactly, with the same alternation condition.  For affine
+f the inner and outer results coincide.
+
+Both routes are one integer assembly (RowModel): every endpoint is an
+exact multiple of a common unit, so the sums and the validity conditions
+are decided exactly, and final endpoints are rounded inward (inner) or
+outward (outer).  The model also gives the inner box of any kept set: the
+prefix rewrite of a vector solve.
 
 None of the per-expression work depends on the prefix: `prepare` computes
 the center value, the rows and the affine form once, and `assemble` turns
@@ -40,6 +42,7 @@ is the two in sequence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -71,6 +74,7 @@ from .intervals import (
     add_up,
     frac_to_float_down,
     frac_to_float_up,
+    is_empty,
     iv_mul,
     mul_down,
 )
@@ -82,11 +86,14 @@ __all__ = [
     "AssembledBounds",
     "ScalarResult",
     "PreparedOutput",
+    "RowModel",
     "contribution_rows",
     "assemble_bounds",
     "affine_coefficients",
     "exact_affine_range",
     "prepare",
+    "row_model",
+    "assemble_kept",
     "assemble",
     "solve_scalar",
 ]
@@ -150,32 +157,33 @@ def contribution_rows(expr: Expr | Tape, problem: QuantifiedProblem) -> dict[str
 
 
 # ---------------------------------------------------------------------------
-# Exact rational helpers
+# Bound assembly in scaled integers
 # ---------------------------------------------------------------------------
 
+# Every finite double is an integer multiple of 2**-1074.
+_FLOAT_DENOM = 1 << 1074
 
-def _first_failing_pair(
-    forall_widths: Sequence[Fraction], exists_widths: Sequence[Fraction]
-) -> int | None:
-    """First 1-based pair index violating the alternation condition, if any.
+# (inner lo, inner hi, outer lo, outer hi) of one row, in units of 1/denom
+_ScaledRow = tuple[int, int, int, int]
+_ZERO_SCALED: _ScaledRow = (0, 0, 0, 0)
 
-    Pair l is fine when the universal width at l does not exceed the
-    existential widths from pair l onward minus the universal widths after l.
-    One backward pass keeps that right-hand side as a running sum.
-    """
-    failed = None
-    rhs = later_forall = Fraction(0)
-    for l in range(len(forall_widths) - 1, -1, -1):
-        rhs += exists_widths[l] - later_forall
-        later_forall = forall_widths[l]
-        if later_forall > rhs:
-            failed = l + 1
+
+def _scaled_float(x: float) -> int:
+    """x in units of 2**-1074."""
+    n, d = x.as_integer_ratio()
+    return n << (1075 - d.bit_length())
+
+
+def _first_negative_suffix(slack: Sequence[int]) -> int | None:
+    """0-based index of the first pair whose alternation condition fails:
+    the suffix sum of slack (existential minus universal width) from that
+    pair onward is < 0."""
+    failed, suffix = None, 0
+    for l in range(len(slack) - 1, -1, -1):
+        suffix += slack[l]
+        if suffix < 0:
+            failed = l
     return failed
-
-
-# ---------------------------------------------------------------------------
-# Pairwise assembly of inner and outer bounds
-# ---------------------------------------------------------------------------
 
 
 @dataclass(slots=True)
@@ -186,18 +194,151 @@ class AssembledBounds:
     outer_failed_pair: int | None
 
 
-def _block_sums(
-    rows: Mapping[str, ContributionRow], block: Block
-) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """(inner_lo, inner_hi, outer_lo, outer_hi) summed over a block."""
-    il = ih = ol = oh = Fraction(0)
-    for name in block.names:
-        row = rows.get(name, ZERO_ROW)
-        il += Fraction(row.inner.lo)
-        ih += Fraction(row.inner.hi)
-        ol += Fraction(row.outer.lo)
-        oh += Fraction(row.outer.hi)
-    return il, ih, ol, oh
+class RowModel:
+    """The assembled bounds of one output, for every kept set, from integer
+    additions.
+
+    A kept set (bit i of a mask for the i-th existential of the prefix)
+    names the existentials that stay existential; the others are demoted
+    to the universal block of their pair, as in a vector solve's rewritten
+    prefix.  Every quantity is an integer count of 1/denom: 2**-1074 for
+    contribution rows, the lcm of the exact terms' denominators for an
+    affine output.
+
+    Inner box.  The model starts from the prefix where every existential
+    is demoted: lo = fc.hi + the sum of every outer hi, hi = fc.lo + the
+    sum of every outer lo, and slack[l] = -(universal width of pair l),
+    where a universal row's width is outer hi - lo.  Keeping existential v
+    moves its row to the existential side of its pair: lo gains il - oh, hi
+    gains ih - ol, and slack[l] gains the outer width and the inner width
+    of the row.  The inner set is nonempty when every suffix sum of slack
+    is >= 0 and the inward-rounded endpoints do not cross.  Rounding inward
+    gives +inf only to lo and -inf only to hi, so endpoints that do not
+    cross are finite: an inner box never fails.
+
+    Those suffix conditions, over the original pairs, hold exactly when the
+    conditions over the rewritten prefix's normalized pairs do: a dropped
+    empty block adds 0 to every sum, and a pair that keeps none of its
+    existentials merges into the next one, whose suffix sum is at least the
+    merged pair's, as every width is >= 0.  So the first failing original
+    pair starts a merged pair, and its index on the rewritten prefix is its
+    own minus the number of earlier pairs merged away.
+
+    Outer bound, with every existential kept: universal rows are credited
+    their inner rows and existential rows charged their outer rows, under
+    the same conditions with the roles of the widths swapped.  When one
+    fails, the bound falls back to fc + the sum of every outer row (the
+    mean-value enclosure), or is empty for an affine output.
+
+    An affine output fits the same model with fc = [const, const] and, for
+    each variable, il = ol = -r and ih = oh = r, where const is the value at
+    the domain midpoints and r = |c| * (hi - lo) / 2: the sums are then the
+    exact range const -+ the alternating norm sums, and the conditions are
+    the norm conditions, doubled.
+    """
+
+    __slots__ = (
+        "denom", "lo", "hi", "slack", "rows", "pair_masks", "outer_sums", "outer_slack", "fallback"
+    )
+
+    def __init__(
+        self,
+        denom: int,
+        fc: tuple[int, int],
+        rows: Mapping[str, _ScaledRow],
+        pairs: Sequence[tuple[Block, Block]],
+        fallback_names: Sequence[str] | None,
+    ) -> None:
+        fl, fh = fc
+        self.denom = denom
+        self.lo, self.hi = fh, fl
+        out_lo, out_hi = fl, fh
+        self.slack: list[int] = []
+        self.outer_slack: list[int] = []
+        self.rows: list[tuple[int, int, int, int]] = []  # (pair, d lo, d hi, d slack)
+        self.pair_masks: list[int] = []  # the kept-set bits of each pair's existentials
+        for pair, (fa, ex) in enumerate(pairs):
+            slack = out_slack = mask = 0
+            for v in fa.names:
+                il, ih, ol, oh = rows.get(v, _ZERO_SCALED)
+                self.lo, self.hi, slack = self.lo + oh, self.hi + ol, slack - (oh - ol)
+                out_lo, out_hi, out_slack = out_lo + ih, out_hi + il, out_slack - (ih - il)
+            for v in ex.names:
+                il, ih, ol, oh = rows.get(v, _ZERO_SCALED)
+                self.lo, self.hi, slack = self.lo + oh, self.hi + ol, slack - (oh - ol)
+                out_lo, out_hi, out_slack = out_lo + ol, out_hi + oh, out_slack + (oh - ol)
+                mask |= 1 << len(self.rows)
+                self.rows.append((pair, il - oh, ih - ol, (oh - ol) + (ih - il)))
+            self.slack.append(slack)
+            self.outer_slack.append(out_slack)
+            self.pair_masks.append(mask)
+        self.outer_sums = out_lo, out_hi
+        self.fallback = None
+        if fallback_names is not None:
+            every = [rows.get(v, _ZERO_SCALED) for v in fallback_names]
+            self.fallback = fl + sum(r[2] for r in every), fh + sum(r[3] for r in every)
+
+    @property
+    def keep_all(self) -> int:
+        """The kept set of every existential: the original prefix."""
+        return (1 << len(self.rows)) - 1
+
+    def inner(self, kept: int) -> tuple[MaybeInterval, int | None]:
+        """The inner box of the kept set's rewritten prefix and the first
+        pair of that prefix, 1-based, whose condition fails."""
+        lo, hi, slack = self.lo, self.hi, self.slack[:]
+        bits = kept
+        while bits:
+            low = bits & -bits
+            pair, d_lo, d_hi, d_slack = self.rows[low.bit_length() - 1]
+            lo += d_lo
+            hi += d_hi
+            slack[pair] += d_slack
+            bits ^= low
+        failed = _first_negative_suffix(slack)
+        if failed is not None:
+            merged = sum(1 for mask in self.pair_masks[:failed] if mask and not kept & mask)
+            return EMPTY, failed + 1 - merged
+        lo_f = frac_to_float_up(Fraction(lo, self.denom))
+        hi_f = frac_to_float_down(Fraction(hi, self.denom))
+        return (Interval(lo_f, hi_f) if lo_f <= hi_f else EMPTY), None
+
+    def score(self, kept: int) -> tuple[int, int]:
+        """(1, inner width in units of 2**-1074) when the inner set of this
+        kept set is nonempty, else (0, 0)."""
+        box, _ = self.inner(kept)
+        if is_empty(box):
+            return 0, 0
+        return 1, _scaled_float(box.hi) - _scaled_float(box.lo)
+
+    def outer(self) -> tuple[MaybeInterval, int | None]:
+        """The outward-rounded outer bound and the first failing pair,
+        1-based; raises ValueError when the bound leaves the float range."""
+        failed = _first_negative_suffix(self.outer_slack)
+        if failed is None:
+            lo, hi = self.outer_sums
+        elif self.fallback is None:
+            return EMPTY, failed + 1
+        else:
+            lo, hi = self.fallback
+        outer = Interval(
+            frac_to_float_down(Fraction(lo, self.denom)), frac_to_float_up(Fraction(hi, self.denom))
+        )
+        return outer, None if failed is None else failed + 1
+
+
+def _mean_value_model(
+    fc: Interval,
+    rows: Mapping[str, ContributionRow],
+    pairs: Sequence[tuple[Block, Block]],
+    all_names: Sequence[str],
+) -> RowModel:
+    scaled = {
+        name: tuple(map(_scaled_float, (r.inner.lo, r.inner.hi, r.outer.lo, r.outer.hi)))
+        for name, r in rows.items()
+    }
+    fc_scaled = _scaled_float(fc.lo), _scaled_float(fc.hi)
+    return RowModel(_FLOAT_DENOM, fc_scaled, scaled, pairs, all_names)
 
 
 def assemble_bounds(
@@ -206,43 +347,10 @@ def assemble_bounds(
     pairs: Sequence[tuple[Block, Block]],
     all_names: Sequence[str],
 ) -> AssembledBounds:
-    """Pairwise inner/outer assembly from contribution rows (exact rationals)."""
-    fl, fh = Fraction(fc.lo), Fraction(fc.hi)
-
-    fa = [_block_sums(rows, p[0]) for p in pairs]  # universal blocks
-    ex = [_block_sums(rows, p[1]) for p in pairs]  # existential blocks
-
-    # Inner: universal blocks charged their outer rows, existential blocks
-    # credited their inner rows.
-    inner_lo = fh + sum((fa[k][3] + ex[k][0] for k in range(len(pairs))), Fraction(0))
-    inner_hi = fl + sum((ex[k][1] + fa[k][2] for k in range(len(pairs))), Fraction(0))
-    inner_failed = _first_failing_pair(
-        [fa[k][3] - fa[k][2] for k in range(len(pairs))],
-        [ex[k][1] - ex[k][0] for k in range(len(pairs))],
-    )
-    inner: MaybeInterval
-    if inner_failed is not None:
-        inner = EMPTY
-    else:
-        lo_f = frac_to_float_up(inner_lo)
-        hi_f = frac_to_float_down(inner_hi)
-        inner = EMPTY if lo_f > hi_f else Interval(lo_f, hi_f)
-
-    # Outer: universal blocks credited their inner rows, existential blocks
-    # charged their outer rows.
-    outer_failed = _first_failing_pair(
-        [fa[k][1] - fa[k][0] for k in range(len(pairs))],
-        [ex[k][3] - ex[k][2] for k in range(len(pairs))],
-    )
-    if outer_failed is None:
-        outer_lo = fl + sum((fa[k][1] + ex[k][2] for k in range(len(pairs))), Fraction(0))
-        outer_hi = fh + sum((fa[k][0] + ex[k][3] for k in range(len(pairs))), Fraction(0))
-    else:
-        # Fallback: plain mean-value range enclosure over every variable.
-        outer_lo = fl + sum((Fraction(rows.get(n, ZERO_ROW).outer.lo) for n in all_names), Fraction(0))
-        outer_hi = fh + sum((Fraction(rows.get(n, ZERO_ROW).outer.hi) for n in all_names), Fraction(0))
-    outer = Interval(frac_to_float_down(outer_lo), frac_to_float_up(outer_hi))
-
+    """Pairwise inner/outer assembly from contribution rows (exact)."""
+    model = _mean_value_model(fc, rows, pairs, all_names)
+    inner, inner_failed = model.inner(model.keep_all)
+    outer, outer_failed = model.outer()
     return AssembledBounds(inner, outer, inner_failed, outer_failed)
 
 
@@ -350,6 +458,25 @@ def _scaled(pair: _AffinePair, factor: Fraction) -> _AffinePair | None:
     return c, lin
 
 
+def _affine_model(
+    const: Fraction, coeffs: Mapping[str, Fraction], problem: QuantifiedProblem
+) -> RowModel:
+    """The row model of const + sum(coeffs[v] * v): each domain is rescaled
+    to [-1, 1] around its midpoint, and variable v gets the row [-r, r] for
+    both inner and outer, r = |coefficient| * radius."""
+    radius: dict[str, Fraction] = {}
+    for spec in problem.variables:
+        c = coeffs.get(spec.name, Fraction(0))
+        lo, hi = Fraction(spec.domain.lo), Fraction(spec.domain.hi)
+        const += c * (hi + lo) / 2
+        radius[spec.name] = abs(c) * (hi - lo) / 2
+    denom = math.lcm(const.denominator, *(r.denominator for r in radius.values()))
+    units = {name: r.numerator * (denom // r.denominator) for name, r in radius.items()}
+    scaled = {name: (-n, n, -n, n) for name, n in units.items()}
+    point = const.numerator * (denom // const.denominator)
+    return RowModel(denom, (point, point), scaled, problem.normalized_pairs(), None)
+
+
 def exact_affine_range(
     delta0: Fraction,
     coeffs: Mapping[str, Fraction],
@@ -363,24 +490,11 @@ def exact_affine_range(
     offset by the signed alternating norm sums, valid precisely when every
     universal norm is covered by the existential norms that follow it.
     """
-    specs = {v.name: v for v in problem.variables}
-    const = delta0
-    norms: list[Fraction] = []
-    for block in problem.normalized():
-        total = Fraction(0)
-        for name in block.names:
-            spec = specs[name]
-            coeff = coeffs.get(name, Fraction(0))
-            lo, hi = Fraction(spec.domain.lo), Fraction(spec.domain.hi)
-            total += abs(coeff) * (hi - lo) / 2
-            const += coeff * (hi + lo) / 2
-        norms.append(total)
-    forall_norms = norms[0::2]
-    exists_norms = norms[1::2]
-    if _first_failing_pair(forall_norms, exists_norms) is not None:
+    model = _affine_model(delta0, coeffs, problem)
+    if _first_negative_suffix(model.outer_slack) is not None:
         return None
-    offset = sum(exists_norms, Fraction(0)) - sum(forall_norms, Fraction(0))
-    return const - offset, const + offset
+    lo, hi = model.outer_sums
+    return Fraction(lo, model.denom), Fraction(hi, model.denom)
 
 
 # ---------------------------------------------------------------------------
@@ -427,28 +541,32 @@ def prepare(
     return PreparedOutput(fc, contribution_rows(tape, problem), affine_coefficients(tape))
 
 
-def assemble(prepared: PreparedOutput, problem: QuantifiedProblem) -> ScalarResult:
-    """Bounds of a prepared expression under the problem's prefix.
-
-    Affine expressions are solved exactly, with inner == outer; an empty
-    exact range reports both bounds empty.  All others use contribution-row
-    assembly.
-    """
-    fc, rows = prepared.fc, prepared.rows
+def row_model(prepared: PreparedOutput, problem: QuantifiedProblem) -> RowModel:
+    """The row model of a prepared expression under the problem's prefix."""
     if prepared.affine is not None:
-        exact = exact_affine_range(*prepared.affine, problem)
-        if exact is None:
-            return ScalarResult(EMPTY, EMPTY, fc, rows, "exact-affine")
-        lo, hi = exact
-        in_lo, in_hi = frac_to_float_up(lo), frac_to_float_down(hi)
-        inner = Interval(in_lo, in_hi) if in_lo <= in_hi else EMPTY
-        outer = Interval(frac_to_float_down(lo), frac_to_float_up(hi))
-        return ScalarResult(inner, outer, fc, rows, "exact-affine")
+        return _affine_model(*prepared.affine, problem)
     names = [v.name for v in problem.variables]
-    got = assemble_bounds(fc, rows, problem.normalized_pairs(), names)
-    return ScalarResult(
-        got.inner, got.outer, fc, rows, "mean-value", got.inner_failed_pair, got.outer_failed_pair
-    )
+    return _mean_value_model(prepared.fc, prepared.rows, problem.normalized_pairs(), names)
+
+
+def assemble_kept(prepared: PreparedOutput, model: RowModel, kept: int) -> ScalarResult:
+    """The outer bound of the model's prefix and the inner box of the kept
+    set.  An affine expression reports no failing pair; its empty exact
+    range empties both bounds, and otherwise inner == outer up to rounding
+    when every existential is kept."""
+    fc, rows = prepared.fc, prepared.rows
+    inner, inner_failed = model.inner(kept)
+    outer, outer_failed = model.outer()
+    if prepared.affine is not None:
+        return ScalarResult(inner, outer, fc, rows, "exact-affine")
+    return ScalarResult(inner, outer, fc, rows, "mean-value", inner_failed, outer_failed)
+
+
+def assemble(prepared: PreparedOutput, problem: QuantifiedProblem) -> ScalarResult:
+    """Bounds of a prepared expression under the problem's prefix: its row
+    model with every existential kept."""
+    model = row_model(prepared, problem)
+    return assemble_kept(prepared, model, model.keep_all)
 
 
 def solve_scalar(

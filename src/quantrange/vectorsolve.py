@@ -12,20 +12,22 @@ scalar inner bounds on these rewritten prefixes multiply to a guaranteed
 inner box of the vector set.
 
 Each output is prepared once per solve (center value, contribution rows,
-affine form; see scalar.prepare).  Component j's rewritten prefix depends
-only on the set of existentials j keeps.  The result reports two kept sets
-per component, each assembled once: keeping every existential (the outer
-bound; it demotes nothing, so it is assembled on the original prefix) and
-the one the assignment gives it (the inner box).
+affine form; see scalar.prepare), and its rows are assembled once into a
+scalar.RowModel, the integer form of the scalar assembly.  Component j's
+rewritten prefix depends only on the set of existentials j keeps, and the
+model gives the inner box of any kept set directly.  The result reads two
+entries per component: the outer bound (every existential kept, which
+demotes nothing: the original prefix) and the inner box of the kept set
+the assignment gives it.  No rewritten problem is built.
 
 Assignment search:
   * exhaustive — the assignment maximizing (number of nonempty components,
     total exact inner width), ties resolved toward the lexicographically
     smallest assignment vector in normalized-prefix variable order.  A
     branch-and-bound search finds it (see _branch_and_bound); it scores
-    kept sets with an integer model of the inner assembly (_InnerModel),
-    at most m*2^e of them for m components and e existentials and usually
-    far fewer, and assembles none.  exhaustive_limit still bounds m^e;
+    kept sets with the row models, at most m*2^e of them for m components
+    and e existentials and usually far fewer.  exhaustive_limit still
+    bounds m^e;
   * greedy — seed each component with its universal outer-row widths as a
     deficit, then hand out existential variables in decreasing best-row
     order to the component where min(row width, remaining deficit) is
@@ -34,7 +36,6 @@ Assignment search:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -43,30 +44,25 @@ from typing import Callable, Mapping, Sequence
 # exact_affine_range and solve_scalar are not called here: perfbench/spans.py
 # traces them under these names and aborts when one is missing.
 from .exprs import eval_interval
-from .intervals import (
-    DivisionByZeroInterval,
-    Interval,
-    MaybeInterval,
-    frac_to_float_down,
-    frac_to_float_up,
-    is_empty,
-)
+from .intervals import DivisionByZeroInterval, Interval, MaybeInterval, is_empty
 from .problem import Block, QuantifiedProblem, Quantifier
 from .scalar import (
     ZERO_ROW,
     ContributionRow,
     PreparedOutput,
-    ScalarResult,
+    RowModel,
     affine_coefficients,
-    assemble,
     assemble_bounds,
+    assemble_kept,
     contribution_rows,
     exact_affine_range,
     prepare,
+    row_model,
     solve_scalar,
 )
 
 __all__ = [
+    "DEFAULT_EXHAUSTIVE_LIMIT",
     "OutputError",
     "ComponentResult",
     "VectorResult",
@@ -77,6 +73,9 @@ __all__ = [
 ]
 
 SuppliedRows = Mapping[str, Mapping[str, ContributionRow]]
+
+# The largest assignment count m^e that the "auto" strategy searches exhaustively.
+DEFAULT_EXHAUSTIVE_LIMIT = 4096
 
 
 @dataclass(slots=True)
@@ -149,123 +148,11 @@ def _named(name: str, fn: Callable, *args):
 
 
 # ---------------------------------------------------------------------------
-# Kept-set scores in scaled integers
-# ---------------------------------------------------------------------------
-
-# Every finite double is an integer multiple of 2**-1074.
-_FLOAT_DENOM = 1 << 1074
-
-
-def _scaled_float(x: float) -> int:
-    """x in units of 2**-1074."""
-    n, d = x.as_integer_ratio()
-    return n << (1075 - d.bit_length())
-
-
-class _InnerModel:
-    """assemble(prepared, rewritten prefix).inner of one output, for any
-    kept set, from integer additions.
-
-    Every quantity is an integer count of 1/denom: 2**-1074 for
-    contribution rows, the lcm of the exact terms' denominators for an
-    affine output.  The model starts from the prefix where every
-    existential is demoted: lo = fc.hi + the sum of every outer hi,
-    hi = fc.lo + the sum of every outer lo, and slack[l] = -(universal
-    width of pair l), where a universal row's width is outer hi - lo.
-    Keeping existential v (bit i of a kept mask when v is the i-th name of
-    existential_order) moves its row to the existential side of its pair:
-    lo gains il - oh, hi gains ih - ol, and slack[l] gains the outer width
-    and the inner width of the row.  The inner set is nonempty when every
-    suffix sum of slack is >= 0 (the alternation condition: the universal
-    widths from pair l onward are covered by the existential ones) and the
-    inward-rounded endpoints do not cross.  Rounding inward gives +inf
-    only to lo and -inf only to hi, so endpoints that do not cross are
-    finite: a score, like the assembled inner box, never fails.
-
-    Those suffix conditions, over the original pairs, hold exactly when the
-    conditions over the rewritten prefix's normalized pairs do: a dropped
-    empty block adds 0 to every sum, and the condition at a pair whose
-    blocks merged into a neighbour's is implied by the condition where the
-    merged pair starts, as every width is >= 0.
-
-    An affine output fits the same model with fc = [const, const] and, for
-    each variable, il = ol = -r and ih = oh = r, where const is the value at
-    the domain midpoints and r = |c| * (hi - lo) / 2: lo and hi are then
-    exact_affine_range's const - offset and const + offset, and the slack
-    conditions are its norm conditions, doubled.
-    """
-
-    __slots__ = ("denom", "lo", "hi", "slack", "rows")
-
-    def __init__(self, prepared: PreparedOutput, problem: QuantifiedProblem) -> None:
-        if prepared.affine is None:
-            denom = _FLOAT_DENOM
-            fl, fh = _scaled_float(prepared.fc.lo), _scaled_float(prepared.fc.hi)
-
-            def row(v: str) -> tuple[int, int, int, int]:
-                r = prepared.rows.get(v, ZERO_ROW)
-                return tuple(map(_scaled_float, (r.inner.lo, r.inner.hi, r.outer.lo, r.outer.hi)))
-
-        else:
-            const, coeffs = prepared.affine
-            radius: dict[str, Fraction] = {}
-            for spec in problem.variables:
-                c = coeffs.get(spec.name, Fraction(0))
-                lo, hi = Fraction(spec.domain.lo), Fraction(spec.domain.hi)
-                const += c * (hi + lo) / 2
-                radius[spec.name] = abs(c) * (hi - lo) / 2
-            denom = math.lcm(const.denominator, *(r.denominator for r in radius.values()))
-            fl = fh = const.numerator * (denom // const.denominator)
-
-            def row(v: str) -> tuple[int, int, int, int]:
-                r = radius[v].numerator * (denom // radius[v].denominator)
-                return -r, r, -r, r
-
-        self.denom = denom
-        self.lo, self.hi = fh, fl
-        self.slack: list[int] = []
-        self.rows: list[tuple[int, int, int, int]] = []  # (pair, d lo, d hi, d slack)
-        for pair, (fa, ex) in enumerate(problem.normalized_pairs()):
-            slack = 0
-            for v in fa.names + ex.names:
-                il, ih, ol, oh = row(v)
-                self.lo += oh
-                self.hi += ol
-                slack -= oh - ol
-            for v in ex.names:
-                il, ih, ol, oh = row(v)
-                self.rows.append((pair, il - oh, ih - ol, (oh - ol) + (ih - il)))
-            self.slack.append(slack)
-
-    def score(self, kept: int) -> tuple[int, int]:
-        """(1, inner width in units of 2**-1074) when the inner set of this
-        kept set is nonempty, else (0, 0)."""
-        lo, hi, slack = self.lo, self.hi, self.slack[:]
-        while kept:
-            low = kept & -kept
-            pair, d_lo, d_hi, d_slack = self.rows[low.bit_length() - 1]
-            lo += d_lo
-            hi += d_hi
-            slack[pair] += d_slack
-            kept ^= low
-        suffix = 0
-        for s in reversed(slack):
-            suffix += s
-            if suffix < 0:
-                return 0, 0
-        lo_f = frac_to_float_up(Fraction(lo, self.denom))
-        hi_f = frac_to_float_down(Fraction(hi, self.denom))
-        if lo_f > hi_f:
-            return 0, 0
-        return 1, _scaled_float(hi_f) - _scaled_float(lo_f)
-
-
-# ---------------------------------------------------------------------------
 # Assignment search
 # ---------------------------------------------------------------------------
 
 
-def _branch_and_bound(models: Sequence[_InnerModel], e: int) -> tuple[int, ...]:
+def _branch_and_bound(models: Sequence[RowModel], e: int) -> tuple[int, ...]:
     """The assignment vector maximizing (nonempty components, total inner
     width); the smallest one among equal maximizers.
 
@@ -357,7 +244,7 @@ def solve_vector(
     problem: QuantifiedProblem,
     supplied: SuppliedRows | None = None,
     strategy: str = "auto",
-    exhaustive_limit: int = 4096,
+    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
     pinned: Mapping[str, int] | None = None,
 ) -> VectorResult:
     """Inner and outer boxes for all outputs.
@@ -366,32 +253,14 @@ def solve_vector(
     exhaustive_limit, greedy otherwise), "exhaustive" (error if over the
     limit), or "greedy".  A pinned assignment (existential variable ->
     component index, covering every existential variable) bypasses the
-    search entirely.
+    search entirely.  The arguments are checked before any output is
+    prepared.
     """
-    rows = supplied or {}
-    prepared = [
-        _named(out.name, prepare, problem, out.expr, rows.get(out.name)) for out in problem.outputs
-    ]
-    exist_names = existential_order(problem)
-    m = len(prepared)
-    memo: dict[tuple[int, tuple[bool, ...]], ScalarResult] = {}
-
-    def assembled(j: int, assignment: Mapping[str, int]) -> ScalarResult:
-        """Component j's bounds on its rewritten prefix, once per kept set."""
-        kept = tuple(assignment[n] == j for n in exist_names)
-        if (j, kept) not in memo:
-            # Keeping every existential demotes nothing: the original prefix.
-            prefix = problem
-            if not all(kept):
-                prefix = problem.with_blocks(derived_blocks(problem, j, assignment))
-            memo[j, kept] = _named(problem.outputs[j].name, assemble, prepared[j], prefix)
-        return memo[j, kept]
-
-    outers = [assembled(j, dict.fromkeys(exist_names, j)) for j in range(m)]
-
-    count = m ** len(exist_names) if m > 0 else 0
     if strategy not in ("auto", "exhaustive", "greedy"):
         raise ValueError(f"unknown assignment strategy {strategy!r}")
+    exist_names = existential_order(problem)
+    m = len(problem.outputs)
+    count = m ** len(exist_names)
     if pinned is not None:
         missing = set(exist_names) - set(pinned)
         if missing:
@@ -401,39 +270,46 @@ def solve_vector(
         bad = [n for n in exist_names if not (0 <= pinned[n] < m)]
         if bad:
             raise ValueError(f"pinned assignment targets unknown components for: {bad}")
-        assignment = {name: pinned[name] for name in exist_names}
-        used = "pinned"
     elif strategy == "exhaustive" and count > exhaustive_limit:
         raise ValueError(
             f"exhaustive assignment search covers {count} assignments, "
             f"over the limit of {exhaustive_limit}; use the greedy strategy "
             f"or raise the limit"
         )
+
+    rows = supplied or {}
+    prepared = [
+        _named(out.name, prepare, problem, out.expr, rows.get(out.name)) for out in problem.outputs
+    ]
+    models = [row_model(p, problem) for p in prepared]
+    if pinned is not None:
+        assignment = {name: pinned[name] for name in exist_names}
+        used = "pinned"
     elif m == 1:
         assignment = {name: 0 for name in exist_names}
         used = "exhaustive"
-    elif strategy == "greedy" or (strategy == "auto" and count > exhaustive_limit):
+    elif strategy == "greedy" or count > exhaustive_limit:
         assignment = _greedy_assignment(problem, prepared, exist_names)
         used = "greedy"
     else:
-        models = [_InnerModel(p, problem) for p in prepared]
         assignment = dict(zip(exist_names, _branch_and_bound(models, len(exist_names))))
         used = "exhaustive"
 
     components: list[ComponentResult] = []
-    for j, (out, p, outer) in enumerate(zip(problem.outputs, prepared, outers)):
-        got = assembled(j, assignment)
+    for j, (out, p, model) in enumerate(zip(problem.outputs, prepared, models)):
+        kept = sum(1 << i for i, name in enumerate(exist_names) if assignment[name] == j)
+        got = _named(out.name, assemble_kept, p, model, kept)
         components.append(
             ComponentResult(
                 name=out.name,
                 inner=got.inner,
-                outer=outer.outer,
+                outer=got.outer,
                 center_value=p.fc,
                 rows=p.rows,
-                method=outer.method,
+                method=got.method,
                 derived=derived_blocks(problem, j, assignment),
                 inner_failed_pair=got.inner_failed_pair,
-                outer_failed_pair=outer.outer_failed_pair,
+                outer_failed_pair=got.outer_failed_pair,
             )
         )
     return VectorResult(tuple(components), assignment, used)

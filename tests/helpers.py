@@ -2,9 +2,11 @@
 and the slow references that the fast paths are tested against: the
 four-corner interval product and quotient (for the sign-case kernels),
 tree-walking evaluators built on them and a tree-walking affine fold (for
-the compiled tape), the quadratic alternation check, the inner bound of
-one assembly alone and brute-force assignment search (for the solvers),
-and the affine vertex oracle (for the exact affine route).
+the compiled tape), the alternation check (one-pass and quadratic), the
+bound assembly and the exact affine range summed in Fractions, the inner
+bound of one assembly alone and brute-force assignment search (for the
+integer row model and the solvers), and the affine vertex oracle (for the
+exact affine route).
 
 Everything here is seeded by the caller; the same rng state always yields the
 same problems, so failures reproduce exactly.
@@ -64,7 +66,13 @@ from quantrange.problem import (
     VariableSpec,
 )
 from quantrange.sampling import _grid, sampling_estimate
-from quantrange.scalar import ZERO_ROW, PreparedOutput, assemble, exact_affine_range
+from quantrange.scalar import (
+    ZERO_ROW,
+    AssembledBounds,
+    ContributionRow,
+    PreparedOutput,
+    ScalarResult,
+)
 from quantrange.vectorsolve import derived_blocks
 
 
@@ -479,30 +487,144 @@ def oracle_first_failing_pair(
     return None
 
 
-def oracle_inner(prepared: PreparedOutput, problem: QuantifiedProblem) -> MaybeInterval:
-    """assemble(prepared, problem).inner without the outer half (which can
-    fail on its own): the exact range or the exact row sums per normalized
-    pair, the quadratic alternation check, and inward rounding."""
-    if prepared.affine is not None:
-        exact = exact_affine_range(*prepared.affine, problem)
-        if exact is None:
-            return EMPTY
-        lo, hi = exact
-    else:
-        sums = []  # (inner lo, inner hi, outer lo, outer hi) per normalized block
-        for block in problem.normalized():
-            total = [Fraction(0)] * 4
-            for row in (prepared.rows.get(n, ZERO_ROW) for n in block.names):
-                for k, x in enumerate((row.inner.lo, row.inner.hi, row.outer.lo, row.outer.hi)):
-                    total[k] += Fraction(x)
-            sums.append(total)
-        fa, ex = sums[0::2], sums[1::2]
-        if oracle_first_failing_pair([s[3] - s[2] for s in fa], [s[1] - s[0] for s in ex]):
-            return EMPTY
-        lo = Fraction(prepared.fc.hi) + sum(s[3] for s in fa) + sum(s[0] for s in ex)
-        hi = Fraction(prepared.fc.lo) + sum(s[2] for s in fa) + sum(s[1] for s in ex)
+def oracle_first_failing_pair_one_pass(
+    forall_widths: Sequence[Fraction], exists_widths: Sequence[Fraction]
+) -> int | None:
+    """First 1-based pair index violating the alternation condition, if any.
+
+    Pair l is fine when the universal width at l does not exceed the
+    existential widths from pair l onward minus the universal widths after l.
+    One backward pass keeps that right-hand side as a running sum.
+    """
+    failed = None
+    rhs = later_forall = Fraction(0)
+    for l in range(len(forall_widths) - 1, -1, -1):
+        rhs += exists_widths[l] - later_forall
+        later_forall = forall_widths[l]
+        if later_forall > rhs:
+            failed = l + 1
+    return failed
+
+
+def _oracle_block_sums(
+    rows: Mapping[str, ContributionRow], block: Block
+) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(inner_lo, inner_hi, outer_lo, outer_hi) summed over a block."""
+    il = ih = ol = oh = Fraction(0)
+    for name in block.names:
+        row = rows.get(name, ZERO_ROW)
+        il += Fraction(row.inner.lo)
+        ih += Fraction(row.inner.hi)
+        ol += Fraction(row.outer.lo)
+        oh += Fraction(row.outer.hi)
+    return il, ih, ol, oh
+
+
+def _inward(lo: Fraction, hi: Fraction) -> MaybeInterval:
     lo_f, hi_f = frac_to_float_up(lo), frac_to_float_down(hi)
     return Interval(lo_f, hi_f) if lo_f <= hi_f else EMPTY
+
+
+def oracle_inner_bounds(
+    fc: Interval, rows: Mapping[str, ContributionRow], pairs: Sequence[tuple[Block, Block]]
+) -> tuple[MaybeInterval, int | None]:
+    """The inner half of assemble_bounds in Fractions: the box and the
+    first failing pair."""
+    fa = [_oracle_block_sums(rows, p[0]) for p in pairs]  # universal blocks
+    ex = [_oracle_block_sums(rows, p[1]) for p in pairs]  # existential blocks
+    # Universal blocks charged their outer rows, existential blocks
+    # credited their inner rows.
+    inner_lo = Fraction(fc.hi) + sum((fa[k][3] + ex[k][0] for k in range(len(pairs))), Fraction(0))
+    inner_hi = Fraction(fc.lo) + sum((ex[k][1] + fa[k][2] for k in range(len(pairs))), Fraction(0))
+    failed = oracle_first_failing_pair_one_pass(
+        [fa[k][3] - fa[k][2] for k in range(len(pairs))],
+        [ex[k][1] - ex[k][0] for k in range(len(pairs))],
+    )
+    return (EMPTY, failed) if failed is not None else (_inward(inner_lo, inner_hi), None)
+
+
+def oracle_assemble_bounds(
+    fc: Interval,
+    rows: Mapping[str, ContributionRow],
+    pairs: Sequence[tuple[Block, Block]],
+    all_names: Sequence[str],
+) -> AssembledBounds:
+    """Pairwise inner/outer assembly from contribution rows, summed in
+    Fractions block by block."""
+    fl, fh = Fraction(fc.lo), Fraction(fc.hi)
+    inner, inner_failed = oracle_inner_bounds(fc, rows, pairs)
+    fa = [_oracle_block_sums(rows, p[0]) for p in pairs]
+    ex = [_oracle_block_sums(rows, p[1]) for p in pairs]
+    # Outer: universal blocks credited their inner rows, existential blocks
+    # charged their outer rows.
+    outer_failed = oracle_first_failing_pair_one_pass(
+        [fa[k][1] - fa[k][0] for k in range(len(pairs))],
+        [ex[k][3] - ex[k][2] for k in range(len(pairs))],
+    )
+    if outer_failed is None:
+        outer_lo = fl + sum((fa[k][1] + ex[k][2] for k in range(len(pairs))), Fraction(0))
+        outer_hi = fh + sum((fa[k][0] + ex[k][3] for k in range(len(pairs))), Fraction(0))
+    else:
+        # Fallback: plain mean-value range enclosure over every variable.
+        outer_lo = fl + sum((Fraction(rows.get(n, ZERO_ROW).outer.lo) for n in all_names), Fraction(0))
+        outer_hi = fh + sum((Fraction(rows.get(n, ZERO_ROW).outer.hi) for n in all_names), Fraction(0))
+    outer = Interval(frac_to_float_down(outer_lo), frac_to_float_up(outer_hi))
+    return AssembledBounds(inner, outer, inner_failed, outer_failed)
+
+
+def oracle_exact_affine_range(
+    delta0: Fraction,
+    coeffs: Mapping[str, Fraction],
+    problem: QuantifiedProblem,
+) -> tuple[Fraction, Fraction] | None:
+    """Exact quantified range of an affine function, None when the set is
+    empty, from per-block norms summed in Fractions."""
+    specs = {v.name: v for v in problem.variables}
+    const = delta0
+    norms: list[Fraction] = []
+    for block in problem.normalized():
+        total = Fraction(0)
+        for name in block.names:
+            spec = specs[name]
+            coeff = coeffs.get(name, Fraction(0))
+            lo, hi = Fraction(spec.domain.lo), Fraction(spec.domain.hi)
+            total += abs(coeff) * (hi - lo) / 2
+            const += coeff * (hi + lo) / 2
+        norms.append(total)
+    forall_norms = norms[0::2]
+    exists_norms = norms[1::2]
+    if oracle_first_failing_pair_one_pass(forall_norms, exists_norms) is not None:
+        return None
+    offset = sum(exists_norms, Fraction(0)) - sum(forall_norms, Fraction(0))
+    return const - offset, const + offset
+
+
+def oracle_assemble(prepared: PreparedOutput, problem: QuantifiedProblem) -> ScalarResult:
+    """assemble(prepared, problem) from the Fraction oracles."""
+    fc, rows = prepared.fc, prepared.rows
+    if prepared.affine is not None:
+        exact = oracle_exact_affine_range(*prepared.affine, problem)
+        if exact is None:
+            return ScalarResult(EMPTY, EMPTY, fc, rows, "exact-affine")
+        lo, hi = exact
+        outer = Interval(frac_to_float_down(lo), frac_to_float_up(hi))
+        return ScalarResult(_inward(lo, hi), outer, fc, rows, "exact-affine")
+    names = [v.name for v in problem.variables]
+    got = oracle_assemble_bounds(fc, rows, problem.normalized_pairs(), names)
+    return ScalarResult(
+        got.inner, got.outer, fc, rows, "mean-value", got.inner_failed_pair, got.outer_failed_pair
+    )
+
+
+def oracle_inner(
+    prepared: PreparedOutput, problem: QuantifiedProblem
+) -> tuple[MaybeInterval, int | None]:
+    """oracle_assemble(prepared, problem)'s inner box and failing pair
+    without the outer half, which can fail on its own."""
+    if prepared.affine is None:
+        return oracle_inner_bounds(prepared.fc, prepared.rows, problem.normalized_pairs())
+    exact = oracle_exact_affine_range(*prepared.affine, problem)
+    return (EMPTY if exact is None else _inward(*exact)), None
 
 
 def oracle_exhaustive_assignment(
@@ -510,17 +632,21 @@ def oracle_exhaustive_assignment(
     prepared: Sequence[PreparedOutput],
     exist_names: Sequence[str],
 ) -> dict[str, int]:
-    """Brute-force search: every component of every assignment is assembled
-    afresh, and a later assignment wins only with a strictly larger
-    (nonempty components, total inner width)."""
+    """Brute-force search over every assignment: a later assignment wins
+    only with a strictly larger (nonempty components, total inner width).
+    Each (component, kept set) inner box comes from oracle_inner on the
+    rewritten prefix, once."""
+    boxes: dict[tuple[int, tuple[bool, ...]], MaybeInterval] = {}
     best_vec: tuple[int, ...] | None = None
     best_score: tuple[int, Fraction] | None = None
     for vec in itertools.product(range(len(prepared)), repeat=len(exist_names)):
-        assignment = dict(zip(exist_names, vec))
         nonempty, width = 0, Fraction(0)
         for j, p in enumerate(prepared):
-            derived = derived_blocks(problem, j, assignment)
-            iv = assemble(p, problem.with_blocks(derived)).inner
+            kept = tuple(c == j for c in vec)
+            if (j, kept) not in boxes:
+                derived = derived_blocks(problem, j, dict(zip(exist_names, vec)))
+                boxes[j, kept] = oracle_inner(p, problem.with_blocks(derived))[0]
+            iv = boxes[j, kept]
             if not is_empty(iv):
                 nonempty += 1
                 width += Fraction(iv.hi) - Fraction(iv.lo)

@@ -24,7 +24,6 @@ from quantrange.scalar import (
     ZERO_ROW,
     AssembledBounds,
     ContributionRow,
-    _first_failing_pair,
     affine_coefficients,
     assemble_bounds,
     contribution_rows,
@@ -34,7 +33,7 @@ from quantrange.scalar import (
 )
 
 from conftest import FIXTURES
-from helpers import oracle_first_failing_pair
+from helpers import oracle_first_failing_pair, oracle_first_failing_pair_one_pass
 
 FA = Quantifier.FORALL
 EX = Quantifier.EXISTS
@@ -197,6 +196,23 @@ class TestAssembleBounds:
 _WIDTH = st.sampled_from([0, 0, 1, 1, 2, 3]).map(Fraction) | st.fractions(0, 4, max_denominator=7)
 
 
+def _assembled_failing_pair(forall, exists):
+    """The inner failing pair of assemble_bounds on one universal and one
+    existential variable per pair whose row widths are the given ones."""
+    rows, pairs = {}, []
+    for l, (f, e) in enumerate(zip(forall, exists)):
+        rows[f"u{l}"] = _row(0.0, 0.0, 0.0, float(f))
+        rows[f"e{l}"] = _row(0.0, float(e), 0.0, float(e))
+        pairs.append((_b(FA, f"u{l}"), _b(EX, f"e{l}")))
+    return assemble_bounds(Interval(0.0, 0.0), rows, pairs, list(rows)).inner_failed_pair
+
+
+# Dyadic widths are exact as float rows.
+_DYADIC_WIDTH = st.sampled_from([0, 0, 1, 1, 2, 3]).map(Fraction) | st.integers(0, 64).map(
+    lambda k: Fraction(k, 16)
+)
+
+
 class TestFirstFailingPair:
     @pytest.mark.parametrize(
         "forall, exists, want",
@@ -213,7 +229,8 @@ class TestFirstFailingPair:
     )
     def test_cases(self, forall, exists, want):
         forall, exists = [Fraction(w) for w in forall], [Fraction(w) for w in exists]
-        assert _first_failing_pair(forall, exists) == want
+        assert _assembled_failing_pair(forall, exists) == want
+        assert oracle_first_failing_pair_one_pass(forall, exists) == want
         assert oracle_first_failing_pair(forall, exists) == want
 
     @given(data=st.data())
@@ -221,7 +238,16 @@ class TestFirstFailingPair:
     def test_matches_quadratic_oracle(self, data):
         pairs = data.draw(st.lists(st.tuples(_WIDTH, _WIDTH), max_size=8))
         forall, exists = [f for f, _ in pairs], [e for _, e in pairs]
-        assert _first_failing_pair(forall, exists) == oracle_first_failing_pair(forall, exists)
+        want = oracle_first_failing_pair(forall, exists)
+        assert oracle_first_failing_pair_one_pass(forall, exists) == want
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_assembly_matches_quadratic_oracle(self, data):
+        pairs = data.draw(st.lists(st.tuples(_DYADIC_WIDTH, _DYADIC_WIDTH), max_size=8))
+        forall, exists = [f for f, _ in pairs], [e for _, e in pairs]
+        want = oracle_first_failing_pair(forall, exists)
+        assert _assembled_failing_pair(forall, exists) == want
 
 
 # ---------------------------------------------------------------------------

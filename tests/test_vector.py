@@ -11,14 +11,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantrange import exprs, problemfile, vectorsolve
+from quantrange import exprs, problemfile, scalar, vectorsolve
 from quantrange import problem as problem_module
 from quantrange.benchgen import motion_problem
 from quantrange.exprs import parse
 from quantrange.intervals import EMPTY, Interval, is_empty
 from quantrange.problem import Block, Output, QuantifiedProblem, Quantifier, VariableSpec
 from quantrange.problemfile import load_problem, parse_problem, problem_to_json
-from quantrange.scalar import ZERO_ROW, ContributionRow, assemble, prepare, solve_scalar
+from quantrange.scalar import (
+    ZERO_ROW,
+    ContributionRow,
+    assemble,
+    prepare,
+    row_model,
+    solve_scalar,
+)
 from quantrange.vectorsolve import (
     ComponentResult,
     OutputError,
@@ -29,7 +36,7 @@ from quantrange.vectorsolve import (
 )
 
 from conftest import FIXTURES
-from helpers import oracle_exhaustive_assignment, oracle_inner
+from helpers import oracle_assemble, oracle_exhaustive_assignment, oracle_inner
 
 FA = Quantifier.FORALL
 EX = Quantifier.EXISTS
@@ -299,68 +306,63 @@ def test_overflowing_output_is_named():
         solve_vector(p)
 
 
-def _assemblies(fixture, monkeypatch):
-    """The solve of a fixture and the number of assemble calls it made."""
-    original = vectorsolve.assemble
-    calls = [0]
+def _model_reads(fixture, monkeypatch):
+    """The solve of a fixture, the row models it built and the (model,
+    kept set) pairs whose bounds it reported."""
+    built, reads = [], []
+    original_init, original_read = scalar.RowModel.__init__, vectorsolve.assemble_kept
 
-    def counted(*args):
-        calls[0] += 1
-        return original(*args)
+    def init(self, *args):
+        built.append(self)
+        original_init(self, *args)
 
-    monkeypatch.setattr(vectorsolve, "assemble", counted)
+    def read(prepared, model, kept):
+        reads.append((id(model), kept))
+        return original_read(prepared, model, kept)
+
+    monkeypatch.setattr(scalar.RowModel, "__init__", init)
+    monkeypatch.setattr(vectorsolve, "assemble_kept", read)
     loaded = load_problem(str(FIXTURES / fixture))
-    return solve_vector(loaded.problem, supplied=loaded.supplied), calls[0]
-
-
-def _reported_kept_sets(res):
-    """Distinct (component, kept set) among each component's keep-everything
-    entry and its chosen one: what the result reports."""
-    names = tuple(res.assignment)
-    chosen = {(j, tuple(res.assignment[n] == j for n in names)) for j in range(len(res.components))}
-    return chosen | {(j, (True,) * len(names)) for j in range(len(res.components))}
+    return solve_vector(loaded.problem, supplied=loaded.supplied), built, reads
 
 
 def test_joint_fixture_assembles_once_per_kept_set(monkeypatch):
-    """The search scores kept sets without assembling them: each output's
-    outer bound (its keep-everything entry) and its chosen inner box are
-    assembled, once each, as no component keeps every existential."""
-    res, calls = _assemblies("dubbins_joint.json", monkeypatch)
+    """The search scores kept sets on the row models without reporting
+    them; each component reports its outer bound (the keep-everything
+    entry) and its chosen inner box from its own model, once."""
+    res, built, reads = _model_reads("dubbins_joint.json", monkeypatch)
     m, e = len(res.components), len(res.assignment)
     assert (m, e) == (3, 7)
-    assert calls == len(_reported_kept_sets(res)) == 2 * m
+    assert [model for model, _ in reads] == [id(model) for model in built]
+    names = tuple(res.assignment)
+    assert [kept for _, kept in reads] == [
+        sum(1 << i for i, n in enumerate(names) if res.assignment[n] == j) for j in range(m)
+    ]
 
 
-@pytest.mark.parametrize(
-    "fixture, assemblies",
-    [
-        # x keeps the one existential: its two entries are one kept set
-        ("dubbins_flow.json", 1 + 2 + 2),
-        ("linear_system.json", 2 + 2),
-        # one output: a single kept set, read for both bounds
-        ("dubbins_taylor.json", 1),
-        ("nonlinear_scalar.json", 1),
-    ],
-)
-def test_each_kept_set_is_assembled_exactly_once(fixture, assemblies, monkeypatch):
-    """assemble runs once per distinct kept set among each component's
-    keep-everything entry and its chosen one: at most 2m times."""
-    res, calls = _assemblies(fixture, monkeypatch)
-    assert res.strategy_used == "exhaustive"
-    assert calls == assemblies == len(_reported_kept_sets(res)) <= 2 * len(res.components)
+@pytest.mark.parametrize("fixture", FIXTURE_FILES)
+def test_each_output_is_assembled_by_one_row_model(fixture, monkeypatch):
+    """One row model per output, one report read from it per component,
+    and no other assembly runs."""
+    for module in (scalar, vectorsolve):
+        for name in ("assemble", "assemble_bounds", "exact_affine_range"):
+            monkeypatch.setattr(module, name, None, raising=False)
+    res, built, reads = _model_reads(fixture, monkeypatch)
+    assert len(built) == len(reads) == len(res.components)
+    assert [model for model, _ in reads] == [id(model) for model in built]
 
 
 def test_joint_fixture_scores_few_kept_sets(monkeypatch):
     """Branch-and-bound scores far fewer than the m*2^e kept sets that an
     exhaustive search reads, each at most once."""
-    original = vectorsolve._InnerModel.score
+    original = scalar.RowModel.score
     scored = []
 
     def counted(self, kept):
         scored.append((id(self), kept))
         return original(self, kept)
 
-    monkeypatch.setattr(vectorsolve._InnerModel, "score", counted)
+    monkeypatch.setattr(scalar.RowModel, "score", counted)
     loaded = load_problem(str(FIXTURES / "dubbins_joint.json"))
     res = solve_vector(loaded.problem, supplied=loaded.supplied)
     m, e = len(res.components), len(res.assignment)
@@ -387,12 +389,29 @@ def test_motion_solve_walks_each_output_tree_twice(monkeypatch):
     assert calls[0] == 2
 
 
+def test_joint_solve_walks_no_output_tree(monkeypatch):
+    """Once the file is loaded, a joint solve builds no rewritten problem,
+    so it never walks an output tree with variables_of."""
+    calls = [0]
+    original = exprs.variables_of
+
+    def counted(expr):
+        calls[0] += 1
+        return original(expr)
+
+    loaded = load_problem(str(FIXTURES / "dubbins_joint.json"))
+    for module in (problem_module, problemfile):
+        monkeypatch.setattr(module, "variables_of", counted)
+    res = solve_vector(loaded.problem, supplied=loaded.supplied)
+    assert len(res.components) == 3
+    assert calls[0] == 0
+
+
 def test_a_failing_kept_set_assembly_is_named():
-    """An assembly that fails only on a rewritten prefix still names its
-    output: demoting e makes a's outer condition fail, and the fallback sum
-    of its outer rows overflows, while the original prefix is fine.  The
-    search only scores that kept set (its inner set is empty), so it fails
-    the solve only where the result reports it."""
+    """Only the reported halves of a kept set are assembled: demoting e
+    would make a's outer condition fail and the fallback sum of its outer
+    rows overflow, but a's outer bound is read on the original prefix,
+    where it is fine, so the pinned assignment that demotes e solves."""
     huge = ContributionRow(Interval(0.0, 0.0), Interval(-1e308, 1e308))
     rows = {"u": huge, "e": ContributionRow(Interval(-1.0, 1.0), Interval(-1e308, 1e308))}
     supplied = {"a": rows, "b": {"u": ZERO_ROW, "e": ZERO_ROW}}
@@ -401,8 +420,13 @@ def test_a_failing_kept_set_assembly_is_named():
         (_b(FA, "u"), _b(EX, "e")),
         (Output("a", parse("u + e")), Output("b", parse("u + e"))),
     )
-    with pytest.raises(OutputError, match=r"^output 'a': interval bounds must be finite"):
-        solve_vector(p, supplied, pinned={"e": 1})
+    res = solve_vector(p, supplied, pinned={"e": 1})
+    a, b = res.components
+    assert is_empty(a.inner) and a.inner_failed_pair == 1
+    assert a.outer == Interval(-1e308, 1e308) and a.outer_failed_pair is None
+    assert b.inner == Interval(0.0, 0.0)
+    with pytest.raises(ValueError, match=r"^interval bounds must be finite"):
+        assemble(prepare(p, p.outputs[0].expr, rows), p.with_blocks(a.derived))
     res = solve_vector(p, supplied)
     assert res.assignment == {"e": 0}
     assert res.components[0].outer == Interval(-1e308, 1e308)
@@ -546,10 +570,10 @@ _KEPT_SET_CASES = st.one_of(
 
 
 def _models(problem, supplied):
-    """(prepared output, integer model) per output."""
+    """(prepared output, row model) per output."""
     for out in problem.outputs:
         p = prepare(problem, out.expr, None if supplied is None else supplied[out.name])
-        yield p, vectorsolve._InnerModel(p, problem)
+        yield p, row_model(p, problem)
 
 
 def _kept_sets(problem, j):
@@ -560,28 +584,45 @@ def _kept_sets(problem, j):
         yield kept, problem.with_blocks(derived_blocks(problem, j, assignment))
 
 
+def _outcome(fn, *args):
+    """repr of fn(*args), or of the ValueError it raises."""
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return f"ValueError({exc})"
+
+
 @given(_KEPT_SET_CASES)
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_integer_scores_match_assembly(case):
     """On every kept set the model gives (nonempty, width in units of
-    2**-1074) of the assembled inner box bit for bit.  Where assemble fails
-    in its outer half, the inner box comes from oracle_inner, which is
-    checked against assemble everywhere else; neither ever fails."""
+    2**-1074) of the inner box that oracle_inner assembles in Fractions on
+    the rewritten prefix, bit for bit."""
     problem, supplied = case
     for j, (p, model) in enumerate(_models(problem, supplied)):
         for kept, rewritten in _kept_sets(problem, j):
-            want = oracle_inner(p, rewritten)
-            try:
-                assembled = assemble(p, rewritten)
-            except ValueError:
-                pass
-            else:
-                assert repr(assembled.inner) == repr(want)
+            want, _ = oracle_inner(p, rewritten)
             if is_empty(want):
                 assert model.score(kept) == (0, 0)
             else:
                 width = (Fraction(want.hi) - Fraction(want.lo)) * 2**1074
                 assert model.score(kept) == (1, width)
+
+
+@given(_KEPT_SET_CASES)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_row_model_matches_the_fraction_assembly(case):
+    """assemble, the model with every existential kept, reports the outer
+    bound and both failing pairs of the Fraction assembly (or fails as it
+    does), and the inner box and failing pair of every kept set match the
+    Fraction assembly on the rewritten prefix."""
+    problem, supplied = case
+    for j, (p, model) in enumerate(_models(problem, supplied)):
+        assert _outcome(assemble, p, problem) == _outcome(oracle_assemble, p, problem)
+        for kept, rewritten in _kept_sets(problem, j):
+            box, failed = model.inner(kept)
+            want = oracle_inner(p, rewritten)
+            assert repr((box, failed if p.affine is None else None)) == repr(want)
 
 
 @given(_KEPT_SET_CASES)
