@@ -13,12 +13,10 @@ from __future__ import annotations
 
 from .benchgen import linear_problem, motion_problem
 from .exprs import (
-    Expr,
     GradEnclosure,
     MissingVariable,
     ParseError,
     Tape,
-    compile_expr,
     eval_grad,
     eval_interval,
     msin_enclosures,
@@ -81,9 +79,7 @@ __all__ = [
     "MaybeInterval",
     "DivisionByZeroInterval",
     "is_empty",
-    "Expr",
     "parse",
-    "compile_expr",
     "Tape",
     "to_text",
     "ParseError",

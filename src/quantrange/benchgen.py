@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 
-from .exprs import Add, Const, Expr, Msin, Mul, Neg, Sub, Var
+from .exprs import ADD, CONST, MSIN, MUL, NEG, SUB, VAR, TapeBuilder
 from .intervals import Interval
 from .problem import Block, Output, QuantifiedProblem, Quantifier, VariableSpec
 
@@ -49,12 +49,14 @@ def linear_problem(k: int, seed: int = 0) -> QuantifiedProblem:
 
     variables: list[VariableSpec] = []
     blocks: list[Block] = []
-    # Trees are kept parser-canonical (negative terms as subtractions of
-    # positive literals) so generated text re-parses to the identical tree.
+    # Emitted in the parser's order (negative terms as subtractions of
+    # positive literals), so the printed text re-parses to the same tape.
+    builder = TapeBuilder()
+    emit = builder.emit
     constant = dyadic()
-    expr: Expr = (
-        Const(constant / 1024.0) if constant >= 0 else Neg(Const(-constant / 1024.0))
-    )
+    root = emit(CONST, abs(constant) / 1024.0)
+    if constant < 0:
+        root = emit(NEG, root)
     for i in range(1, k + 1):
         ua = dyadic()
         ea = dyadic()
@@ -66,12 +68,11 @@ def linear_problem(k: int, seed: int = 0) -> QuantifiedProblem:
         ):
             variables.append(VariableSpec(name, _UNIT, 0.0))
             blocks.append(Block(quantifier, (name,)))
-            if coeff > 0:
-                expr = Add(expr, Mul(Const(coeff / 1024.0), Var(name)))
-            elif coeff < 0:
-                expr = Sub(expr, Mul(Const(-coeff / 1024.0), Var(name)))
+            if coeff != 0:
+                term = emit(MUL, emit(CONST, abs(coeff) / 1024.0), emit(VAR, name))
+                root = emit(ADD if coeff > 0 else SUB, root, term)
     return QuantifiedProblem(
-        tuple(variables), tuple(blocks), (Output("f", expr),)
+        tuple(variables), tuple(blocks), (Output("f", builder.tape()),)
     )
 
 
@@ -79,7 +80,6 @@ def motion_problem(k: int) -> QuantifiedProblem:
     """Unicycle x-position benchmark with 3 + 2k variables, k+1 alternations."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    half = Const(0.5)
     small = Interval(-0.01, 0.01)
     slack = 0.005 * (k + 1)
 
@@ -96,15 +96,21 @@ def motion_problem(k: int) -> QuantifiedProblem:
     variables.append(VariableSpec("delta", Interval(-slack, slack), 0.0))
     blocks.append(Block(Quantifier.EXISTS, ("delta",)))
 
-    expr: Expr = Var("x0")
-    heading: Expr = Var("theta0")
+    # Emitted in the parser's order; heading i is the sum read by step i,
+    # so the last heading, which no step reads, is never emitted.
+    builder = TapeBuilder()
+    emit = builder.emit
+    root = emit(VAR, "x0")
+    half = emit(CONST, 0.5)
+    heading = step = None
     for i in range(1, k + 1):
-        expr = Add(expr, Mul(half, Msin(heading, Mul(half, Var(f"a{i}")))))
-        heading = Add(heading, Mul(half, Var(f"a{i}")))
+        heading = emit(VAR, "theta0") if i == 1 else emit(ADD, heading, step)
+        step = emit(MUL, half, emit(VAR, f"a{i}"))
+        root = emit(ADD, root, emit(MUL, half, emit(MSIN, heading, step)))
     for i in range(1, k + 1):
-        expr = Add(expr, Mul(half, Var(f"b{i}")))
-    expr = Add(expr, Var("delta"))
+        root = emit(ADD, root, emit(MUL, half, emit(VAR, f"b{i}")))
+    root = emit(ADD, root, emit(VAR, "delta"))
 
     return QuantifiedProblem(
-        tuple(variables), tuple(blocks), (Output("x", expr),)
+        tuple(variables), tuple(blocks), (Output("x", builder.tape()),)
     )

@@ -1,6 +1,6 @@
-"""Expression AST, text parser, and the compiled tape behind every evaluator.
+"""Expression text, the tape it parses to, and the sweeps over that tape.
 
-Grammar (infix, precedence climbing):
+Grammar (infix):
 
     expr    := term (('+' | '-') term)*
     term    := factor (('*' | '/') factor)*
@@ -8,25 +8,30 @@ Grammar (infix, precedence climbing):
     power   := atom ('^' nonneg-integer)?      (at most MAX_EXPONENT)
     atom    := number | ident | func '(' expr (',' expr)* ')' | '(' expr ')'
     func    := 'sin' | 'cos' | 'msin'
-    number  := decimal or scientific literal (e.g. 2, 0.5, 1.31e-7)
+    number  := [0-9]+ ('.' [0-9]*)? exp? | '.' [0-9]+ exp?
+    exp     := [eE] [+-]? [0-9]+
     ident   := [A-Za-z_][A-Za-z0-9_]*
+
+Tokens are ASCII: any other character, a Unicode letter or digit included,
+is a syntax error.  The parser climbs precedences over explicit operand and
+operator stacks (Pratt, "Top down operator precedence", POPL 1973), so no
+nesting depth is too deep for it.
 
 msin(u, v) is the continuously extended divided difference
 (sin(u+v) - sin(u)) / v, equal to cos(u) at v = 0.  It evaluates and
 differentiates through sound enclosures over hull(u, u+v), so a domain
 containing v = 0 needs no special casing downstream.
 
-An expression is compiled once into a Tape: its distinct nodes in
-topological order, each an opcode with its child slots (shared subtrees
-keep one slot).  Point, interval and gradient evaluation, the printer and
-the affine folding in `scalar` are sweeps over that one tape; each accepts
-an Expr too and compiles it first, so a caller that evaluates an
-expression repeatedly compiles it once with `compile_expr` and passes the
-tape.  The tape also counts each slot's readers (the instructions that
-take it as a child, once per operand position), so a sweep can update a
-child's partial dict or linear form in place when no other instruction
-reads it, instead of copying it: a sum chain then costs O(n), not O(n^2).
-Slots of a shared subtree keep being copied.
+A Tape is the one form of an expression: its distinct subexpressions in
+post-order, each an opcode with its child slots, the root last.  The parser
+emits straight into a tape, hash-consed on (opcode, child slots, payload),
+so equal subexpressions share one slot wherever they occur in the text.
+Point, interval and gradient evaluation, the printer and the affine folding
+in `scalar` are sweeps over that one tape.  The tape also counts each
+slot's readers (the instructions that take it as a child, once per operand
+position), so a sweep can update a child's partial dict or linear form in
+place when no other instruction reads it, instead of copying it: a sum
+chain then costs O(n), not O(n^2).  Shared slots keep being copied.
 
 Evaluation is containment-sound: for every point assignment drawn from the
 environment, the pointwise value (and each partial derivative) lies in the
@@ -36,6 +41,7 @@ computed interval.  Gradients are forward-mode over interval arithmetic.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -53,20 +59,9 @@ from .intervals import (
 )
 
 __all__ = [
-    "Expr",
-    "Const",
-    "Var",
-    "Add",
-    "Sub",
-    "Mul",
-    "Div",
-    "Neg",
-    "Pow",
-    "Sin",
-    "Cos",
-    "Msin",
     "GradEnclosure",
     "Tape",
+    "TapeBuilder",
     "CONST",
     "VAR",
     "ADD",
@@ -82,14 +77,11 @@ __all__ = [
     "MAX_EXPONENT",
     "MissingVariable",
     "parse",
-    "compile_expr",
-    "as_tape",
     "to_text",
     "eval_point",
     "eval_interval",
     "eval_grad",
     "msin_enclosures",
-    "variables_of",
 ]
 
 
@@ -105,210 +97,103 @@ class MissingVariable(KeyError):
 
 
 # ---------------------------------------------------------------------------
-# AST
+# Tape
 # ---------------------------------------------------------------------------
 
-
-class Expr:
-    """Base class for expression nodes; subclasses are immutable records."""
-
-    __slots__ = ()
-
-    def children(self) -> tuple[Expr, ...]:
-        return ()
-
-
-@dataclass(frozen=True, slots=True)
-class Const(Expr):
-    value: float
-
-
-@dataclass(frozen=True, slots=True)
-class Var(Expr):
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class Add(Expr):
-    a: Expr
-    b: Expr
-
-    def children(self) -> tuple[Expr, ...]:
-        return (self.a, self.b)
-
-
-@dataclass(frozen=True, slots=True)
-class Sub(Expr):
-    a: Expr
-    b: Expr
-
-    def children(self) -> tuple[Expr, ...]:
-        return (self.a, self.b)
-
-
-@dataclass(frozen=True, slots=True)
-class Mul(Expr):
-    a: Expr
-    b: Expr
-
-    def children(self) -> tuple[Expr, ...]:
-        return (self.a, self.b)
-
-
-@dataclass(frozen=True, slots=True)
-class Div(Expr):
-    a: Expr
-    b: Expr
-
-    def children(self) -> tuple[Expr, ...]:
-        return (self.a, self.b)
-
-
-@dataclass(frozen=True, slots=True)
-class Neg(Expr):
-    a: Expr
-
-    def children(self) -> tuple[Expr, ...]:
-        return (self.a,)
-
-
-@dataclass(frozen=True, slots=True)
-class Pow(Expr):
-    base: Expr
-    exponent: int
-
-    def __post_init__(self) -> None:
-        if self.exponent < 0 or self.exponent != int(self.exponent):
-            raise ValueError(f"Pow exponent must be a non-negative integer, got {self.exponent}")
-
-    def children(self) -> tuple[Expr, ...]:
-        return (self.base,)
-
-
-@dataclass(frozen=True, slots=True)
-class Sin(Expr):
-    a: Expr
-
-    def children(self) -> tuple[Expr, ...]:
-        return (self.a,)
-
-
-@dataclass(frozen=True, slots=True)
-class Cos(Expr):
-    a: Expr
-
-    def children(self) -> tuple[Expr, ...]:
-        return (self.a,)
-
-
-@dataclass(frozen=True, slots=True)
-class Msin(Expr):
-    u: Expr
-    v: Expr
-
-    def children(self) -> tuple[Expr, ...]:
-        return (self.u, self.v)
-
-
-def variables_of(e: Expr) -> set[str]:
-    """Set of variable names appearing in the tree."""
-    out: set[str] = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node.name)
-        else:
-            stack.extend(node.children())
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Compiled tape
-# ---------------------------------------------------------------------------
-
-# Opcodes: one per node class.
 CONST, VAR, ADD, SUB, MUL, DIV, NEG, POW, SIN, COS, MSIN = range(11)
 
-_OPCODES: dict[type, int] = {
-    Const: CONST,
-    Var: VAR,
-    Add: ADD,
-    Sub: SUB,
-    Mul: MUL,
-    Div: DIV,
-    Neg: NEG,
-    Pow: POW,
-    Sin: SIN,
-    Cos: COS,
-    Msin: MSIN,
-}
+_UNARY = frozenset((NEG, POW, SIN, COS))
 
 Instruction = tuple[int, Any, Any]
 
 
+def _operands(ins: Instruction) -> tuple[int, ...]:
+    """The child slots an instruction reads, once per operand position."""
+    op, a, b = ins
+    if op == CONST or op == VAR:
+        return ()
+    return (a,) if op in _UNARY else (a, b)
+
+
 class Tape:
-    """An expression compiled for evaluation: one instruction per distinct
-    node, children before parents, the root last.
+    """An expression as instructions: one per distinct subexpression,
+    children before parents, the root last.
 
     Instruction i is (op, a, b) and its value is slot i of a sweep.  a and b
     are the node's child slots, except that a CONST holds its value in a, a
     VAR its name in a, and a POW its exponent in b; unused fields are None.
     readers[i] is the number of operand positions that read slot i (0 for
     the root), so a sweep may reuse slot i's value in place when it is 1.
+    variables holds the names of the VAR slots.  Tapes with equal code are
+    equal.
     """
 
-    __slots__ = ("code", "readers")
+    __slots__ = ("code", "readers", "variables")
 
-    def __init__(self, code: tuple[Instruction, ...], readers: tuple[int, ...]) -> None:
+    def __init__(self, code: tuple[Instruction, ...]) -> None:
+        readers = [0] * len(code)
+        for ins in code:
+            for slot in _operands(ins):
+                readers[slot] += 1
         self.code = code
-        self.readers = readers
+        self.readers = tuple(readers)
+        self.variables = frozenset(a for op, a, _ in code if op == VAR)
+
+    def __eq__(self, other: object) -> bool:
+        return self.code == other.code if isinstance(other, Tape) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.code)
+
+    def __repr__(self) -> str:
+        return f"Tape({self.code!r})"
+
+    def children(self) -> tuple[_Node, ...]:
+        """The root's operands as tree nodes: walking children() from here
+        visits the expression as the unshared tree its text spells out."""
+        return _Node(self.code, len(self.code) - 1).children()
 
 
-def compile_expr(root: Expr) -> Tape:
-    """Flatten the DAG under root into a tape, without Python recursion.
+class _Node:
+    """One slot of a tape's code, seen as a tree node."""
 
-    Nodes are placed in the post-order of a left-to-right depth-first walk.
-    A node object reached again (a shared subtree) keeps its first slot, so
-    the tape is linear in distinct nodes and arbitrarily deep trees compile.
+    __slots__ = ("code", "slot")
+
+    def __init__(self, code: tuple[Instruction, ...], slot: int) -> None:
+        self.code = code
+        self.slot = slot
+
+    def children(self) -> tuple[_Node, ...]:
+        return tuple(_Node(self.code, s) for s in _operands(self.code[self.slot]))
+
+
+class TapeBuilder:
+    """Collects a tape's instructions, hash-consed: emitting an instruction
+    equal to an earlier one returns the earlier slot.  A CONST is keyed by
+    its float's bits, since 0.0 == -0.0 would merge the two.
+
+    Emit children before parents and the root last, and emit nothing that
+    no later instruction reads, so that the tape holds no dead slot.
     """
-    slots: dict[int, int] = {}
-    code: list[Instruction] = []
-    readers: list[int] = []
-    stack: list[Expr] = [root]
-    while stack:
-        node = stack[-1]
-        if id(node) in slots:
-            stack.pop()
-            continue
-        kids = node.children()
-        pending = [c for c in kids if id(c) not in slots]
-        if pending:
-            stack.extend(reversed(pending))
-            continue
-        stack.pop()
-        op = _OPCODES.get(type(node))
-        if op is None:
-            raise TypeError(f"unknown node {node!r}")
-        if op == CONST:
-            ins = (CONST, node.value, None)
-        elif op == VAR:
-            ins = (VAR, node.name, None)
-        elif op == POW:
-            ins = (POW, slots[id(node.base)], node.exponent)
-        else:
-            ins = (op, slots[id(kids[0])], slots[id(kids[1])] if len(kids) > 1 else None)
-        for kid in kids:
-            readers[slots[id(kid)]] += 1
-        slots[id(node)] = len(code)
-        code.append(ins)
-        readers.append(0)
-    return Tape(tuple(code), tuple(readers))
 
+    __slots__ = ("code", "slots")
 
-def as_tape(e: Expr | Tape) -> Tape:
-    """e itself when already compiled, else its tape."""
-    return e if isinstance(e, Tape) else compile_expr(e)
+    def __init__(self) -> None:
+        self.code: list[Instruction] = []
+        self.slots: dict[tuple, int] = {}
+
+    def emit(self, op: int, a: Any = None, b: Any = None) -> int:
+        """The slot of instruction (op, a, b), appended when new."""
+        ins = (op, a, b)
+        key = (CONST, a.hex()) if op == CONST else ins
+        slot = self.slots.get(key)
+        if slot is None:
+            slot = self.slots[key] = len(self.code)
+            self.code.append(ins)
+        return slot
+
+    def tape(self) -> Tape:
+        return Tape(tuple(self.code))
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +213,6 @@ class ParseError(ValueError):
         super().__init__(detail)
 
 
-_FUNCTIONS = {"sin": 1, "cos": 1, "msin": 2}
-
 # Largest exponent literal the parser accepts.  Interval powers take one
 # directed product per unit of exponent, and exact constant folding grows
 # with it, so an unbounded literal means unbounded work.
@@ -337,212 +220,147 @@ MAX_EXPONENT = 1024
 
 _ATOM_EXPECTED = {"number", "identifier", "'('", "'-'"}
 
+# One token per match: a number, an identifier, punctuation, or any other
+# non-blank character, which is an error.  The classes are ASCII on purpose:
+# \d and str.isdigit() also take digits such as '²', which float() refuses.
+_TOKEN = re.compile(
+    r"[ \t\r\n]*(?:"
+    r"([0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?)"
+    r"|([A-Za-z_][A-Za-z0-9_]*)"
+    r"|([-+*/^(),])"
+    r"|([^ \t\r\n]))"
+)
+_END, _NUM, _IDENT, _PUNCT, _BAD = range(5)  # _NUM.._BAD are group numbers
 
-@dataclass(slots=True)
-class _Token:
-    kind: str  # NUM IDENT OP LPAREN RPAREN COMMA END
-    text: str
-    pos: int  # character position in the source string
+Token = tuple[int, str, int]  # kind, text, offset
+
+_BINARY = {"+": ADD, "-": SUB, "*": MUL, "/": DIV}
+_PREC = {ADD: 1, SUB: 1, MUL: 2, DIV: 2, NEG: 3}
+_FUNCTIONS = {"sin": (SIN, 1), "cos": (COS, 1), "msin": (MSIN, 2)}
 
 
-def _byte_offset(text: str, char_pos: int) -> int:
-    return len(text[:char_pos].encode("utf-8"))
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            if i < n and text[i] == ".":
-                i += 1
-                while i < n and text[i].isdigit():
-                    i += 1
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and text[j].isdigit():
-                    i = j
-                    while i < n and text[i].isdigit():
-                        i += 1
-            tokens.append(_Token("NUM", text[start:i], start))
-            continue
-        if c.isalpha() or c == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("IDENT", text[start:i], start))
-            continue
-        if c in "+-*/^":
-            tokens.append(_Token("OP", c, i))
-            i += 1
-            continue
-        if c == "(":
-            tokens.append(_Token("LPAREN", c, i))
-            i += 1
-            continue
-        if c == ")":
-            tokens.append(_Token("RPAREN", c, i))
-            i += 1
-            continue
-        if c == ",":
-            tokens.append(_Token("COMMA", c, i))
-            i += 1
-            continue
-        raise ParseError(
-            f"unexpected character {c!r}",
-            _byte_offset(text, i),
-            _ATOM_EXPECTED | {"operator"},
-        )
-    tokens.append(_Token("END", "", n))
+def _tokenize(text: str) -> list[Token]:
+    """The tokens of text, then an end token.  Every character before a
+    token is ASCII, so a character offset is a byte offset."""
+    tokens: list[Token] = []
+    # Trailing blanks are cut first: a match never fails inside the rest,
+    # so finditer skips nothing and never rescans a run of blanks.
+    for m in _TOKEN.finditer(text, 0, len(text.rstrip(" \t\r\n"))):
+        kind = m.lastindex
+        if kind == _BAD:
+            raise ParseError(
+                f"unexpected character {m[kind]!r}", m.start(kind), _ATOM_EXPECTED | {"operator"}
+            )
+        tokens.append((kind, m[kind], m.start(kind)))
+    tokens.append((_END, "", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
+def _exponent(kind: int, text: str, offset: int) -> int:
+    if kind != _NUM or not text.isdigit():
+        raise ParseError(
+            "exponent must be a non-negative integer literal", offset, {"non-negative integer"}
+        )
+    # Compare digit counts first: int() refuses very long literals.
+    digits = text.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+        raise ParseError(
+            f"exponent exceeds the cap of {MAX_EXPONENT}", offset, {f"integer <= {MAX_EXPONENT}"}
+        )
+    return int(digits)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def parse(text: str) -> Tape:
+    """Parse an infix expression into its tape; raises ParseError on
+    malformed input.  Instructions are emitted in post-order as the
+    operators reduce."""
+    tokens = _tokenize(text)
+    builder = TapeBuilder()
+    emit = builder.emit
+    operands: list[int] = []  # slots of the finished operands
+    operators: list[int] = []  # pending NEG and binary opcodes
+    # Open brackets, innermost last: [function name, or None for a plain
+    # parenthesis, arguments so far, len(operators) at the bracket].
+    frames: list[list[Any]] = []
 
-    def error(self, message: str, tok: _Token, expected: set[str]) -> ParseError:
-        return ParseError(message, _byte_offset(self.text, tok.pos), expected)
+    def reduce(min_prec: int) -> None:
+        floor = frames[-1][2] if frames else 0
+        while len(operators) > floor and _PREC[operators[-1]] >= min_prec:
+            op = operators.pop()
+            b = None if op == NEG else operands.pop()
+            operands[-1] = emit(op, operands[-1], b)
 
-    # ---- grammar rules ----
-
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.peek().kind == "OP" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.parse_term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
-
-    def parse_term(self) -> Expr:
-        node = self.parse_factor()
-        while self.peek().kind == "OP" and self.peek().text in "*/":
-            op = self.advance().text
-            rhs = self.parse_factor()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
-
-    def parse_factor(self) -> Expr:
-        if self.peek().kind == "OP" and self.peek().text == "-":
-            self.advance()
-            return Neg(self.parse_factor())
-        return self.parse_power()
-
-    def parse_power(self) -> Expr:
-        base = self.parse_atom()
-        if self.peek().kind == "OP" and self.peek().text == "^":
-            self.advance()
-            tok = self.peek()
-            if tok.kind != "NUM" or not tok.text.isdigit():
-                raise self.error(
-                    "exponent must be a non-negative integer literal",
-                    tok,
-                    {"non-negative integer"},
-                )
-            # Compare digit counts first: int() refuses very long literals.
-            digits = tok.text.lstrip("0") or "0"
-            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-                raise self.error(
-                    f"exponent exceeds the cap of {MAX_EXPONENT}",
-                    tok,
-                    {f"integer <= {MAX_EXPONENT}"},
-                )
-            self.advance()
-            return Pow(base, int(digits))
-        return base
-
-    def parse_atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "NUM":
-            self.advance()
-            value = float(tok.text)
-            if value == float("inf"):
-                raise self.error("number literal overflows", tok, {"finite number"})
-            return Const(value)
-        if tok.kind == "IDENT":
-            self.advance()
-            if tok.text in _FUNCTIONS:
-                return self.parse_call(tok)
-            return Var(tok.text)
-        if tok.kind == "LPAREN":
-            self.advance()
-            node = self.parse_expr()
-            self.expect_rparen()
-            return node
-        raise self.error(f"expected expression, found {tok.text or 'end of input'!r}", tok, set(_ATOM_EXPECTED))
-
-    def parse_call(self, name_tok: _Token) -> Expr:
-        arity = _FUNCTIONS[name_tok.text]
-        tok = self.peek()
-        if tok.kind != "LPAREN":
-            raise self.error(f"function '{name_tok.text}' requires arguments", tok, {"'('"})
-        self.advance()
-        args = [self.parse_expr()]
-        while self.peek().kind == "COMMA":
-            self.advance()
-            args.append(self.parse_expr())
-        close = self.peek()
-        self.expect_rparen()
-        if len(args) != arity:
-            raise self.error(
-                f"function '{name_tok.text}' takes {arity} argument(s), got {len(args)}",
-                close,
-                {f"{arity} argument(s)"},
+    i = 0
+    while True:
+        # Operand position: minus signs and opening brackets, then an atom.
+        kind, tok, offset = tokens[i]
+        i += 1
+        if kind == _NUM:
+            value = float(tok)
+            if value == math.inf:
+                raise ParseError("number literal overflows", offset, {"finite number"})
+            operands.append(emit(CONST, value))
+        elif kind == _IDENT and tok not in _FUNCTIONS:
+            operands.append(emit(VAR, tok))
+        elif kind == _IDENT:
+            if tokens[i][1] != "(":
+                raise ParseError(f"function '{tok}' requires arguments", tokens[i][2], {"'('"})
+            i += 1
+            frames.append([tok, 1, len(operators)])
+            continue
+        elif tok == "(":
+            frames.append([None, 1, len(operators)])
+            continue
+        elif tok == "-":
+            operators.append(NEG)
+            continue
+        else:
+            raise ParseError(
+                f"expected expression, found {tok or 'end of input'!r}", offset, _ATOM_EXPECTED
             )
-        if name_tok.text == "sin":
-            return Sin(args[0])
-        if name_tok.text == "cos":
-            return Cos(args[0])
-        return Msin(args[0], args[1])
-
-    def expect_rparen(self) -> None:
-        tok = self.peek()
-        if tok.kind != "RPAREN":
-            raise self.error("unbalanced parentheses", tok, {"')'"})
-        self.advance()
-
-    def parse(self) -> Expr:
-        node = self.parse_expr()
-        tok = self.peek()
-        if tok.kind != "END":
-            raise self.error(f"unexpected trailing input {tok.text!r}", tok, {"operator", "end of input"})
-        return node
-
-
-def parse(text: str) -> Expr:
-    """Parse an infix expression; raises ParseError on malformed input,
-    including nesting deeper than the recursive descent can follow."""
-    parser = _Parser(text)
-    try:
-        return parser.parse()
-    except RecursionError:
-        raise parser.error("expression nested too deeply", parser.peek(), set()) from None
-
-
+        # Operator position, after an atom: a power, then a binary operator
+        # or a separator that reduces the pending operators.
+        while True:
+            kind, tok, offset = tokens[i]
+            i += 1
+            if tok == "^":
+                operands[-1] = emit(POW, operands[-1], _exponent(*tokens[i]))
+                kind, tok, offset = tokens[i + 1]
+                i += 2
+            op = _BINARY.get(tok)
+            if op is not None:
+                reduce(_PREC[op])
+                operators.append(op)
+                break
+            reduce(0)
+            if not frames:
+                if kind == _END:
+                    return builder.tape()
+                raise ParseError(
+                    f"unexpected trailing input {tok!r}", offset, {"operator", "end of input"}
+                )
+            frame = frames[-1]
+            if tok == "," and frame[0] is not None:
+                frame[1] += 1
+                break
+            if tok != ")":
+                raise ParseError("unbalanced parentheses", offset, {"')'"})
+            frames.pop()
+            name, args, _ = frame
+            if name is not None:  # a call closes into an atom, as a group does
+                op, arity = _FUNCTIONS[name]
+                if args != arity:
+                    raise ParseError(
+                        f"function '{name}' takes {arity} argument(s), got {args}",
+                        offset,
+                        {f"{arity} argument(s)"},
+                    )
+                b = operands.pop() if arity == 2 else None
+                operands[-1] = emit(op, operands[-1], b)
 
 
 # ---------------------------------------------------------------------------
-# Printer (round-trip: parse(to_text(parse(s))) is structurally identical)
+# Printer (round-trip: parse(to_text(parse(s))) == parse(s))
 # ---------------------------------------------------------------------------
 
 _PREC_ADD = 1
@@ -581,10 +399,10 @@ def _fmt(op: int, a: Any, b: Any, done: list[tuple[str, int]]) -> tuple[str, int
     return f"{_wrap(done[a], prec, False)}{sym}{_wrap(done[b], prec, True)}", prec
 
 
-def to_text(e: Expr | Tape) -> str:
+def to_text(tape: Tape) -> str:
     """Render the expression as parseable infix text."""
     done: list[tuple[str, int]] = []
-    for op, a, b in as_tape(e).code:
+    for op, a, b in tape.code:
         done.append(_fmt(op, a, b, done))
     return done[-1][0]
 
@@ -614,16 +432,16 @@ def msin_enclosures(u: Interval, v: Interval) -> tuple[Interval, Interval, Inter
     return value, du, dv
 
 
-def eval_interval(e: Expr | Tape, env: Mapping[str, Interval]) -> Interval:
-    """Sound range enclosure of e over the box described by env.
+def eval_interval(tape: Tape, env: Mapping[str, Interval]) -> Interval:
+    """Sound range enclosure of the expression over the box described by env.
 
     Raises:
-        MissingVariable: a variable of e is not bound in env.
+        MissingVariable: a variable of the expression is not bound in env.
         DivisionByZeroInterval: a divisor enclosure contains zero.
     """
     vals: list[Interval] = []
     push = vals.append
-    for op, a, b in as_tape(e).code:
+    for op, a, b in tape.code:
         if op == VAR:
             try:
                 push(env[a])
@@ -652,11 +470,11 @@ def eval_interval(e: Expr | Tape, env: Mapping[str, Interval]) -> Interval:
     return vals[-1]
 
 
-def eval_point(e: Expr | Tape, env: Mapping[str, float]) -> float:
+def eval_point(tape: Tape, env: Mapping[str, float]) -> float:
     """Plain float evaluation (used by the sampling estimator)."""
     vals: list[float] = []
     push = vals.append
-    for op, a, b in as_tape(e).code:
+    for op, a, b in tape.code:
         if op == VAR:
             try:
                 push(env[a])
@@ -729,13 +547,13 @@ def _merge_linear(
     return out
 
 
-def eval_grad(e: Expr | Tape, env: Mapping[str, Interval]) -> GradEnclosure:
-    """Value and signed partial enclosures of e over env (forward mode).
+def eval_grad(tape: Tape, env: Mapping[str, Interval]) -> GradEnclosure:
+    """Value and signed partial enclosures of the expression over env
+    (forward mode).
 
     Each partial interval contains de/dx_j at every point of the box; the
     result maps every variable of env, with [0,0] for absent variables.
     """
-    tape = as_tape(e)
     readers = tape.readers
     vals: list[Interval] = []
     ders: list[dict[str, Interval]] = []

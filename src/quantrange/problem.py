@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .exprs import Expr, variables_of
+from .exprs import Tape
 from .intervals import Interval
 
 __all__ = [
@@ -93,7 +93,7 @@ class Output:
     """A named output component with its defining expression."""
 
     name: str
-    expr: Expr
+    expr: Tape
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,7 +131,7 @@ class QuantifiedProblem:
         if not self.outputs:
             raise ValueError("problem has no outputs")
         for out in self.outputs:
-            free = variables_of(out.expr) - declared
+            free = out.expr.variables - declared
             if free:
                 raise ValueError(
                     f"output '{out.name}' references undeclared variables: {sorted(free)}"
@@ -156,6 +156,3 @@ class QuantifiedProblem:
         """(forall, exists) block pairs of the normalized prefix."""
         blocks = self.normalized()
         return tuple((blocks[2 * k], blocks[2 * k + 1]) for k in range(len(blocks) // 2))
-
-    def with_blocks(self, blocks: Iterable[Block]) -> "QuantifiedProblem":
-        return QuantifiedProblem(self.variables, tuple(blocks), self.outputs)

@@ -29,12 +29,13 @@ assignment by name, bypassing the assignment search.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .exprs import parse as parse_expr
-from .exprs import variables_of
+from .exprs import to_text
 from .intervals import Interval
 from .problem import Block, Output, QuantifiedProblem, Quantifier, VariableSpec
 from .scalar import ContributionRow
@@ -109,7 +110,10 @@ def _arr(value: Any, path: str) -> list:
 def _num(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(value).__name__}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
     if out != out or out in (float("inf"), float("-inf")):
         raise DomainError(path, "number must be finite")
     return out
@@ -261,7 +265,7 @@ def parse_problem(data: Any, path: str = "$") -> LoadedProblem:
             raise SchemaError(f"{opath}.name", f"duplicate output name {name!r}")
         out_names.add(name)
         expr = parse_expr(_str(obj["expr"], f"{opath}.expr"))
-        free = variables_of(expr) - seen_names
+        free = expr.variables - seen_names
         if free:
             raise SchemaError(
                 f"{opath}.expr", f"undeclared variable(s): {', '.join(sorted(free))}"
@@ -309,7 +313,7 @@ def _parse_contributions(
             except ValueError as exc:
                 raise DomainError(rpath, str(exc)) from exc
         output = next(o for o in problem.outputs if o.name == out_name)
-        missing = variables_of(output.expr) - set(rows)
+        missing = output.expr.variables - set(rows)
         if missing:
             raise SchemaError(
                 opath,
@@ -371,13 +375,30 @@ def _parse_options(data: Any, problem: QuantifiedProblem, path: str) -> SolveOpt
     return options
 
 
+# Longest integer literal read: up to 308 digits every integer is a finite
+# float, and Python refuses to convert much longer ones.
+_MAX_INT_DIGITS = 308
+
+
+def _bounded_int(text: str) -> int:
+    digits = len(text.lstrip("-"))
+    if digits > _MAX_INT_DIGITS:
+        raise SchemaError("$", f"integer literal of {digits} digits (at most {_MAX_INT_DIGITS})")
+    return int(text)
+
+
 def load_problem(path: str) -> LoadedProblem:
-    """Read and validate a problem file from disk."""
+    """Read and validate a problem file from disk; a file that is not
+    UTF-8 JSON is a SchemaError at "$"."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=_bounded_int)
         except json.JSONDecodeError as exc:
             raise SchemaError("$", f"invalid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise SchemaError("$", f"not UTF-8 text: {exc}") from exc
+        except RecursionError:
+            raise SchemaError("$", "invalid JSON: nested too deeply") from None
     return parse_problem(data)
 
 
@@ -389,8 +410,6 @@ def load_problem(path: str) -> LoadedProblem:
 def problem_to_json(problem: QuantifiedProblem) -> dict:
     """Schema-1 document for a problem (inverse of parse_problem for
     problems whose variables are declared block by block)."""
-    from .exprs import to_text
-
     block_index = {
         name: i for i, block in enumerate(problem.blocks) for name in block.names
     }

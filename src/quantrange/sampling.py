@@ -5,9 +5,8 @@ an existential block contributes the hull over its grid assignments, a
 universal block the intersection (empty when the intersection crosses),
 and a leaf evaluates the expression in plain float arithmetic.  The walk is
 a loop over an explicit stack, so any number of blocks works.  Each output
-component is estimated independently: it is compiled once into a tape
-(see exprs), and every leaf is one `eval_point` sweep of that tape, a few
-microseconds for a small polynomial.
+component is estimated independently, and every leaf is one `eval_point`
+sweep of its tape (see exprs), a few microseconds for a small polynomial.
 
 The result is an estimate, not a bound — finite universal grids weaken the
 adversary and finite existential grids weaken the witness.  On affine
@@ -24,7 +23,7 @@ import itertools
 import math
 from typing import Mapping, Sequence
 
-from .exprs import Tape, compile_expr, eval_point
+from .exprs import Tape, eval_point
 from .intervals import EMPTY, Interval, MaybeInterval, is_empty
 from .problem import Block, QuantifiedProblem, Quantifier
 
@@ -120,15 +119,15 @@ def _estimate_component(
 
 def sampling_estimate(problem: QuantifiedProblem, points: int) -> tuple[MaybeInterval, ...]:
     """Per-output estimates of the quantified range over grids of points
-    values per variable (points >= 2); each output is compiled once and its
-    tape evaluated at every leaf."""
+    values per variable (points >= 2); each output's tape is evaluated at
+    every leaf."""
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
     grids = {v.name: _grid(v.domain, points) for v in problem.variables}
     blocks = problem.normalized()
     out: list[MaybeInterval] = []
     for output in problem.outputs:
-        got = _estimate_component(compile_expr(output.expr), blocks, grids)
+        got = _estimate_component(output.expr, blocks, grids)
         out.append(EMPTY if got is None else Interval(got[0], got[1]))
     return tuple(out)
 

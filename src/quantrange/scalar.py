@@ -59,10 +59,7 @@ from .exprs import (
     SIN,
     SUB,
     VAR,
-    Expr,
     Tape,
-    as_tape,
-    compile_expr,
     eval_grad,
     eval_interval,
 )
@@ -122,7 +119,7 @@ _ZERO_IV = Interval(0.0, 0.0)
 ZERO_ROW = ContributionRow(_ZERO_IV, _ZERO_IV)
 
 
-def contribution_rows(expr: Expr | Tape, problem: QuantifiedProblem) -> dict[str, ContributionRow]:
+def contribution_rows(expr: Tape, problem: QuantifiedProblem) -> dict[str, ContributionRow]:
     """Compute contribution rows for every declared variable of the problem.
 
     The gradient enclosure is taken over the full box; deviation radii are
@@ -374,18 +371,18 @@ def _too_big(x: Fraction) -> bool:
     return x.numerator.bit_length() > _MAX_FOLD_BITS or x.denominator.bit_length() > _MAX_FOLD_BITS
 
 
-def affine_coefficients(e: Expr | Tape) -> _AffinePair | None:
-    """Exact (constant, {var: coefficient}) when e is affine, else None.
+def affine_coefficients(tape: Tape) -> _AffinePair | None:
+    """Exact (constant, {var: coefficient}) when the expression is affine,
+    else None.
 
     Constant subtrees are folded in exact rational arithmetic; a folded
-    constant or coefficient beyond _MAX_FOLD_BITS makes the tree
+    constant or coefficient beyond _MAX_FOLD_BITS makes the expression
     non-affine, which leaves it to the mean-value route.  Any trigonometric
-    node disqualifies the tree, as its value has no exact rational form.
+    node disqualifies the expression, as its value has no exact rational form.
     Non-affinity reaches the root through every node except a power with
     exponent 0, so a tape with a trigonometric node and no such power is
     rejected without folding anything.
     """
-    tape = as_tape(e)
     code = tape.code
     ops = {ins[0] for ins in code}
     if not ops.isdisjoint(_TRIG_OPS) and not any(op == POW and b == 0 for op, _, b in code):
@@ -528,13 +525,11 @@ class PreparedOutput:
 
 def prepare(
     problem: QuantifiedProblem,
-    expr: Expr,
+    tape: Tape,
     supplied_rows: Mapping[str, ContributionRow] | None = None,
 ) -> PreparedOutput:
-    """Compile expr once and evaluate its tape over the problem's variables;
-    the prefix is not read.  Supplied rows replace the computed ones and
-    force row assembly."""
-    tape = compile_expr(expr)
+    """Evaluate the tape over the problem's variables; the prefix is not
+    read.  Supplied rows replace the computed ones and force row assembly."""
     fc = eval_interval(tape, problem.center_env())
     if supplied_rows is not None:
         return PreparedOutput(fc, dict(supplied_rows), None)
@@ -571,7 +566,7 @@ def assemble(prepared: PreparedOutput, problem: QuantifiedProblem) -> ScalarResu
 
 def solve_scalar(
     problem: QuantifiedProblem,
-    expr: Expr,
+    expr: Tape,
     supplied_rows: Mapping[str, ContributionRow] | None = None,
 ) -> ScalarResult:
     """Bound the quantified range of expr under the problem's prefix."""

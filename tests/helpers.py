@@ -1,8 +1,10 @@
 """Deterministic generators shared by the property and acceptance suites,
-and the slow references that the fast paths are tested against: the
-four-corner interval product and quotient (for the sign-case kernels),
-tree-walking evaluators built on them and a tree-walking affine fold (for
-the compiled tape), the alternation check (one-pass and quadratic), the
+and the slow references that the fast paths are tested against: expression
+trees with a recursive-descent parser and an identity-sharing compiler (for
+the parser, which emits hash-consed tapes directly), the four-corner
+interval product and quotient (for the sign-case kernels), tree-walking
+evaluators built on them and a tree-walking affine fold (for the tape
+sweeps), the alternation check (one-pass and quadratic), the
 bound assembly and the exact affine range summed in Fractions, the inner
 bound of one assembly alone and brute-force assignment search (for the
 integer row model and the solvers), and the affine vertex oracle (for the
@@ -17,27 +19,30 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import struct
 from fractions import Fraction
-from typing import Any, Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from quantrange.exprs import (
-    Add,
-    Const,
-    Cos,
-    Div,
-    Expr,
+    ADD,
+    CONST,
+    COS,
+    DIV,
+    MAX_EXPONENT,
+    MSIN,
+    MUL,
+    NEG,
+    POW,
+    SIN,
+    SUB,
+    VAR,
     GradEnclosure,
     MissingVariable,
-    Msin,
-    Mul,
-    Neg,
-    Pow,
-    Sin,
-    Sub,
-    Var,
+    ParseError,
+    Tape,
     msin_enclosures,
     parse,
-    variables_of,
 )
 from quantrange.intervals import (
     EMPTY,
@@ -74,6 +79,405 @@ from quantrange.scalar import (
     ScalarResult,
 )
 from quantrange.vectorsolve import derived_blocks
+
+
+# ---------------------------------------------------------------------------
+# Expression trees: the recursive-descent parser and the identity-sharing
+# compiler, references for the parser that emits hash-consed tapes
+# ---------------------------------------------------------------------------
+
+
+class Expr:
+    """Base class for expression nodes; subclasses are immutable records."""
+
+    __slots__ = ()
+
+    def children(self) -> tuple[Expr, ...]:
+        return ()
+
+
+@dataclass(frozen=True, slots=True)
+class Const(Expr):
+    value: float
+
+
+@dataclass(frozen=True, slots=True)
+class Var(Expr):
+    name: str
+
+
+@dataclass(frozen=True, slots=True)
+class Add(Expr):
+    a: Expr
+    b: Expr
+
+    def children(self) -> tuple[Expr, ...]:
+        return (self.a, self.b)
+
+
+@dataclass(frozen=True, slots=True)
+class Sub(Expr):
+    a: Expr
+    b: Expr
+
+    def children(self) -> tuple[Expr, ...]:
+        return (self.a, self.b)
+
+
+@dataclass(frozen=True, slots=True)
+class Mul(Expr):
+    a: Expr
+    b: Expr
+
+    def children(self) -> tuple[Expr, ...]:
+        return (self.a, self.b)
+
+
+@dataclass(frozen=True, slots=True)
+class Div(Expr):
+    a: Expr
+    b: Expr
+
+    def children(self) -> tuple[Expr, ...]:
+        return (self.a, self.b)
+
+
+@dataclass(frozen=True, slots=True)
+class Neg(Expr):
+    a: Expr
+
+    def children(self) -> tuple[Expr, ...]:
+        return (self.a,)
+
+
+@dataclass(frozen=True, slots=True)
+class Pow(Expr):
+    base: Expr
+    exponent: int
+
+    def __post_init__(self) -> None:
+        if self.exponent < 0 or self.exponent != int(self.exponent):
+            raise ValueError(f"Pow exponent must be a non-negative integer, got {self.exponent}")
+
+    def children(self) -> tuple[Expr, ...]:
+        return (self.base,)
+
+
+@dataclass(frozen=True, slots=True)
+class Sin(Expr):
+    a: Expr
+
+    def children(self) -> tuple[Expr, ...]:
+        return (self.a,)
+
+
+@dataclass(frozen=True, slots=True)
+class Cos(Expr):
+    a: Expr
+
+    def children(self) -> tuple[Expr, ...]:
+        return (self.a,)
+
+
+@dataclass(frozen=True, slots=True)
+class Msin(Expr):
+    u: Expr
+    v: Expr
+
+    def children(self) -> tuple[Expr, ...]:
+        return (self.u, self.v)
+
+
+_OPCODES: dict[type, int] = {
+    Const: CONST,
+    Var: VAR,
+    Add: ADD,
+    Sub: SUB,
+    Mul: MUL,
+    Div: DIV,
+    Neg: NEG,
+    Pow: POW,
+    Sin: SIN,
+    Cos: COS,
+    Msin: MSIN,
+}
+_CLASSES = {op: cls for cls, op in _OPCODES.items()}
+
+
+def compile_expr(root: Expr) -> Tape:
+    """Flatten the DAG under root into a tape, without Python recursion.
+
+    Nodes are placed in the post-order of a left-to-right depth-first walk.
+    A node object reached again (a shared subtree) keeps its first slot;
+    equal but distinct objects get slots of their own.
+    """
+    slots: dict[int, int] = {}
+    code: list[tuple[int, Any, Any]] = []
+    stack: list[Expr] = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in slots:
+            stack.pop()
+            continue
+        kids = node.children()
+        pending = [c for c in kids if id(c) not in slots]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        op = _OPCODES[type(node)]
+        if op == CONST:
+            ins = (CONST, node.value, None)
+        elif op == VAR:
+            ins = (VAR, node.name, None)
+        elif op == POW:
+            ins = (POW, slots[id(node.base)], node.exponent)
+        else:
+            ins = (op, slots[id(kids[0])], slots[id(kids[1])] if len(kids) > 1 else None)
+        slots[id(node)] = len(code)
+        code.append(ins)
+    return Tape(tuple(code))
+
+
+def hash_consed(tape: Tape) -> Tape:
+    """The tape with equal instructions merged into their first slot; a
+    CONST compares by its float's bytes.  Merging compile_expr's tape of a
+    tree this way gives the tree's hash-consed post-order."""
+    new_slot: list[int] = []
+    first: dict[tuple, int] = {}
+    code: list[tuple[int, Any, Any]] = []
+    for op, a, b in tape.code:
+        if op == CONST:
+            ins, key = (op, a, b), (op, struct.pack("<d", a))
+        elif op == VAR:
+            ins = key = (op, a, b)
+        elif op == POW:
+            ins = key = (op, new_slot[a], b)
+        else:
+            ins = key = (op, new_slot[a], None if b is None else new_slot[b])
+        if key not in first:
+            first[key] = len(code)
+            code.append(ins)
+        new_slot.append(first[key])
+    return Tape(tuple(code))
+
+
+def oracle_tape(root: Expr) -> Tape:
+    """The tape that `parse` should emit for the text of root."""
+    return hash_consed(compile_expr(root))
+
+
+def tree_of(tape: Tape) -> Expr:
+    """The tape as tree nodes, one object per slot."""
+    nodes: list[Expr] = []
+    for op, a, b in tape.code:
+        if op == CONST:
+            nodes.append(Const(a))
+        elif op == VAR:
+            nodes.append(Var(a))
+        elif op == POW:
+            nodes.append(Pow(nodes[a], b))
+        elif b is None:
+            nodes.append(_CLASSES[op](nodes[a]))
+        else:
+            nodes.append(_CLASSES[op](nodes[a], nodes[b]))
+    return nodes[-1]
+
+
+_FUNCTIONS = {"sin": 1, "cos": 1, "msin": 2}
+_ATOM_EXPECTED = {"number", "identifier", "'('", "'-'"}
+
+
+class _Token:
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int) -> None:
+        self.kind = kind  # NUM IDENT OP LPAREN RPAREN COMMA END
+        self.text = text
+        self.pos = pos  # character position in the source string
+
+
+def _byte_offset(text: str, char_pos: int) -> int:
+    return len(text[:char_pos].encode("utf-8"))
+
+
+def _oracle_tokenize(text: str) -> list[_Token]:
+    """A character-by-character scanner; on ASCII input it reads the
+    tokens that exprs' regular expression reads."""
+    tokens: list[_Token] = []
+    i = 0
+    n = len(text)
+    digits = "0123456789"
+    while i < n:
+        c = text[i]
+        if c in " \t\r\n":
+            i += 1
+            continue
+        if c in digits or (c == "." and i + 1 < n and text[i + 1] in digits):
+            start = i
+            while i < n and text[i] in digits:
+                i += 1
+            if i < n and text[i] == ".":
+                i += 1
+                while i < n and text[i] in digits:
+                    i += 1
+            if i < n and text[i] in "eE":
+                j = i + 1
+                if j < n and text[j] in "+-":
+                    j += 1
+                if j < n and text[j] in digits:
+                    i = j
+                    while i < n and text[i] in digits:
+                        i += 1
+            tokens.append(_Token("NUM", text[start:i], start))
+            continue
+        if c.isascii() and (c.isalpha() or c == "_"):
+            start = i
+            while i < n and text[i].isascii() and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            tokens.append(_Token("IDENT", text[start:i], start))
+            continue
+        kind = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA"}.get(c, "OP" if c in "+-*/^" else None)
+        if kind is None:
+            raise ParseError(
+                f"unexpected character {c!r}", _byte_offset(text, i), _ATOM_EXPECTED | {"operator"}
+            )
+        tokens.append(_Token(kind, c, i))
+        i += 1
+    tokens.append(_Token("END", "", n))
+    return tokens
+
+
+class _OracleParser:
+    """Recursive descent, one method per grammar rule."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.tokens = _oracle_tokenize(text)
+        self.i = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def error(self, message: str, tok: _Token, expected: set[str]) -> ParseError:
+        return ParseError(message, _byte_offset(self.text, tok.pos), expected)
+
+    def parse_expr(self) -> Expr:
+        node = self.parse_term()
+        while self.peek().kind == "OP" and self.peek().text in "+-":
+            op = self.advance().text
+            rhs = self.parse_term()
+            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+        return node
+
+    def parse_term(self) -> Expr:
+        node = self.parse_factor()
+        while self.peek().kind == "OP" and self.peek().text in "*/":
+            op = self.advance().text
+            rhs = self.parse_factor()
+            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+        return node
+
+    def parse_factor(self) -> Expr:
+        if self.peek().kind == "OP" and self.peek().text == "-":
+            self.advance()
+            return Neg(self.parse_factor())
+        return self.parse_power()
+
+    def parse_power(self) -> Expr:
+        base = self.parse_atom()
+        if self.peek().kind == "OP" and self.peek().text == "^":
+            self.advance()
+            tok = self.peek()
+            if tok.kind != "NUM" or not tok.text.isdigit():
+                raise self.error(
+                    "exponent must be a non-negative integer literal", tok, {"non-negative integer"}
+                )
+            digits = tok.text.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise self.error(
+                    f"exponent exceeds the cap of {MAX_EXPONENT}", tok, {f"integer <= {MAX_EXPONENT}"}
+                )
+            self.advance()
+            return Pow(base, int(digits))
+        return base
+
+    def parse_atom(self) -> Expr:
+        tok = self.peek()
+        if tok.kind == "NUM":
+            self.advance()
+            value = float(tok.text)
+            if value == float("inf"):
+                raise self.error("number literal overflows", tok, {"finite number"})
+            return Const(value)
+        if tok.kind == "IDENT":
+            self.advance()
+            if tok.text in _FUNCTIONS:
+                return self.parse_call(tok)
+            return Var(tok.text)
+        if tok.kind == "LPAREN":
+            self.advance()
+            node = self.parse_expr()
+            self.expect_rparen()
+            return node
+        raise self.error(
+            f"expected expression, found {tok.text or 'end of input'!r}", tok, set(_ATOM_EXPECTED)
+        )
+
+    def parse_call(self, name_tok: _Token) -> Expr:
+        arity = _FUNCTIONS[name_tok.text]
+        tok = self.peek()
+        if tok.kind != "LPAREN":
+            raise self.error(f"function '{name_tok.text}' requires arguments", tok, {"'('"})
+        self.advance()
+        args = [self.parse_expr()]
+        while self.peek().kind == "COMMA":
+            self.advance()
+            args.append(self.parse_expr())
+        close = self.peek()
+        self.expect_rparen()
+        if len(args) != arity:
+            raise self.error(
+                f"function '{name_tok.text}' takes {arity} argument(s), got {len(args)}",
+                close,
+                {f"{arity} argument(s)"},
+            )
+        if name_tok.text == "sin":
+            return Sin(args[0])
+        if name_tok.text == "cos":
+            return Cos(args[0])
+        return Msin(args[0], args[1])
+
+    def expect_rparen(self) -> None:
+        tok = self.peek()
+        if tok.kind != "RPAREN":
+            raise self.error("unbalanced parentheses", tok, {"')'"})
+        self.advance()
+
+    def parse(self) -> Expr:
+        node = self.parse_expr()
+        tok = self.peek()
+        if tok.kind != "END":
+            raise self.error(
+                f"unexpected trailing input {tok.text!r}", tok, {"operator", "end of input"}
+            )
+        return node
+
+
+def oracle_parse(text: str) -> Expr:
+    """The expression tree of text, by recursive descent (one Python frame
+    per nesting level, so keep inputs shallow)."""
+    return _OracleParser(text).parse()
+
+
+def with_blocks(problem: QuantifiedProblem, blocks: Iterable[Block]) -> QuantifiedProblem:
+    """The problem under another quantifier prefix."""
+    return QuantifiedProblem(problem.variables, tuple(blocks), problem.outputs)
 
 
 def dyadic(rng: random.Random, denom: int, lo: int, hi: int) -> float:
@@ -141,12 +545,12 @@ def _random_tree(rng: random.Random, names: list[str], depth: int) -> Expr:
     return Msin(a, _random_tree(rng, names, depth - 1))
 
 
-def random_expr(rng: random.Random, names: list[str]) -> Expr:
+def random_expr(rng: random.Random, names: list[str]) -> Tape:
     """Random expression over names; always mentions at least one variable."""
     tree = _random_tree(rng, names, depth=3)
-    if not variables_of(tree):
+    if not compile_expr(tree).variables:
         tree = Add(tree, Var(rng.choice(names)))
-    return tree
+    return compile_expr(tree)
 
 
 def make_random_problem(rng: random.Random, n_outputs: int = 1) -> QuantifiedProblem:
@@ -470,7 +874,7 @@ def oracle_sampling_estimate(problem: QuantifiedProblem, points: int) -> tuple:
     grids = {v.name: _grid(v.domain, points) for v in problem.variables}
     out = []
     for output in problem.outputs:
-        got = _oracle_estimate(output.expr, problem.normalized(), grids, {}, 0)
+        got = _oracle_estimate(tree_of(output.expr), problem.normalized(), grids, {}, 0)
         out.append(EMPTY if got is None else Interval(got[0], got[1]))
     return tuple(out)
 
@@ -645,7 +1049,7 @@ def oracle_exhaustive_assignment(
             kept = tuple(c == j for c in vec)
             if (j, kept) not in boxes:
                 derived = derived_blocks(problem, j, dict(zip(exist_names, vec)))
-                boxes[j, kept] = oracle_inner(p, problem.with_blocks(derived))[0]
+                boxes[j, kept] = oracle_inner(p, with_blocks(problem, derived))[0]
             iv = boxes[j, kept]
             if not is_empty(iv):
                 nonempty += 1
@@ -669,5 +1073,7 @@ def vertex_oracle_affine(
         c = float(coeffs.get(spec.name, 0.0))
         if c != 0.0:
             expr = Add(expr, Mul(Const(c), Var(spec.name)))
-    oracle_problem = QuantifiedProblem(problem.variables, problem.blocks, (Output("f", expr),))
+    oracle_problem = QuantifiedProblem(
+        problem.variables, problem.blocks, (Output("f", compile_expr(expr)),)
+    )
     return sampling_estimate(oracle_problem, 2)[0]

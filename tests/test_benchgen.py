@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from quantrange.benchgen import linear_problem, motion_problem
-from quantrange.exprs import parse, variables_of
+from quantrange.exprs import parse, to_text
 from quantrange.intervals import Interval
 from quantrange.problem import Output, QuantifiedProblem, Quantifier, VariableSpec
 from quantrange.scalar import affine_coefficients, solve_scalar
@@ -94,7 +94,7 @@ class TestMotionFamily:
 
     def test_expression_uses_every_variable(self):
         p = motion_problem(3)
-        assert variables_of(p.outputs[0].expr) == {v.name for v in p.variables}
+        assert p.outputs[0].expr.variables == {v.name for v in p.variables}
 
     def test_single_step_pinned_bounds(self):
         p = motion_problem(1)
@@ -138,3 +138,15 @@ class TestMotionFamily:
         res = solve_scalar(p, p.outputs[0].expr)
         assert res.inner_failed_pair is None
         assert res.outer.contains_interval(res.inner)
+
+
+@pytest.mark.parametrize(
+    "problem", [linear_problem(50, seed=3), motion_problem(1), motion_problem(10)],
+    ids=["linear50", "motion1", "motion10"],
+)
+def test_generated_tape_is_the_parse_of_its_text(problem):
+    """Every slot but the root is read, and the printed expression parses
+    back to the same slots in the same order."""
+    tape = problem.outputs[0].expr
+    assert min(tape.readers[:-1]) >= 1 and tape.readers[-1] == 0
+    assert parse(to_text(tape)) == tape

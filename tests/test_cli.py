@@ -263,17 +263,39 @@ class TestInputErrors:
         )
 
     def test_deeply_nested_expression(self, capsys, write_problem):
+        depth = 10_000
+
+        def report(expr):
+            path = write_problem(
+                {
+                    "schema": 1,
+                    "blocks": [{"quantifier": "exists"}],
+                    "variables": [{"name": "x", "block": 0, "domain": [0, 1]}],
+                    "outputs": [{"name": "f", "expr": expr}],
+                }
+            )
+            got = run_json_solve(capsys, path)
+            del got["timings"]
+            return got
+
+        assert report("(" * depth + "x" + ")" * depth) == report("x")
+        assert report("sin(" * depth + "x" + ")" * depth)["outputs"][0]["method"] == "mean-value"
+        assert report("-" * depth + "x") == report("x")  # an even number of negations
+
+    @pytest.mark.parametrize(
+        "expr, offset", [("x + ²", 4), ("x + 1²", 5), ("x^²", 2), ("x^٣", 2)]
+    )
+    def test_unicode_digit_is_an_input_error(self, capsys, write_problem, expr, offset):
         path = write_problem(
             {
                 "schema": 1,
                 "blocks": [{"quantifier": "exists"}],
                 "variables": [{"name": "x", "block": 0, "domain": [0, 1]}],
-                "outputs": [{"name": "f", "expr": "(" * 3000 + "x" + ")" * 3000}],
+                "outputs": [{"name": "f", "expr": expr}],
             }
         )
-        err = self.check_exit_3(capsys, ["solve", path], "nested too deeply")
-        assert path in err
-        assert "internal error" not in err
+        err = self.check_exit_3(capsys, ["solve", path], "unexpected character")
+        assert f"at byte offset {offset}" in err and path in err
 
     @pytest.mark.parametrize(
         "expr",

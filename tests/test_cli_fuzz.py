@@ -1,6 +1,7 @@
-"""Random valid schema-1 files through `quantrange solve`: every file ends in
-exit 0 or in an input error (exit 3) that names the file, never in an
-internal error (exit 4), and each one is solved quickly."""
+"""Random schema-1 files, and byte-level mutations of the bundled fixtures,
+through `quantrange solve`: every file ends in exit 0 or in an input error
+(exit 3) that names the file, never in an internal error (exit 4), and each
+one is solved quickly."""
 
 from __future__ import annotations
 
@@ -15,6 +16,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from quantrange.cli import main
 from quantrange.exprs import MAX_EXPONENT
+
+from conftest import FIXTURES
 
 NAMES = ("x0", "x1", "x2", "x3")
 MAX = 1.7976931348623157e308
@@ -96,6 +99,17 @@ def problem_files(draw):
     return doc, flags
 
 
+def _solve_exit_code(path: str, flags: list[str]) -> int:
+    """main's exit code; an input error must name the file."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["solve", path, *flags])
+    assert code in (0, 3), err.getvalue()
+    if code == 3:
+        assert err.getvalue().startswith(f"error: {path}: "), err.getvalue()
+    return code
+
+
 def test_random_files_exit_0_or_a_named_input_error():
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "problem.json")
@@ -111,16 +125,70 @@ def test_random_files_exit_0_or_a_named_input_error():
         def solve_one(case):
             doc, flags = case
             Path(path).write_text(json.dumps(doc), encoding="utf-8")
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(["solve", path, *flags])
-            assert code in (0, 3), err.getvalue()
-            if code == 3:
-                assert err.getvalue().startswith(f"error: {path}: "), err.getvalue()
+            code = _solve_exit_code(path, flags)
             seen[code] = seen.get(code, 0) + 1
 
         t0 = time.perf_counter()
         solve_one()
         elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
+    assert seen.get(0, 0) > 0 and seen.get(3, 0) > 0, seen
+
+
+FIXTURE_BYTES = [path.read_bytes() for path in sorted(FIXTURES.glob("*.json"))]
+_CLOSERS = {b"[": b"]", b'{"a": ': b"}", b"(": b")", b"sin(": b")", b"-": b""}
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A fixture's bytes cut short, with a piece of itself spliced in, with
+    deep nesting, with a long run of digits, or with bytes that are not
+    UTF-8.  Insertions favour places where the file stays valid JSON:
+    after a digit, or inside an expression string."""
+    data = draw(st.sampled_from(FIXTURE_BYTES))
+    kind = draw(st.sampled_from(["truncate", "splice", "nest", "digits", "utf8"]))
+    at = draw(st.integers(0, len(data)))
+    if kind == "truncate":
+        return data[:at]
+    if kind == "splice":
+        start = draw(st.integers(0, len(data)))
+        piece = data[start : start + draw(st.integers(1, 80))]
+        return data[:at] + piece + data[at + draw(st.integers(0, len(piece))) :]
+    if kind == "nest":
+        opener = draw(st.sampled_from(sorted(_CLOSERS)))
+        depth = draw(st.sampled_from([2, 1000, 10_000] + ([100_000] if opener in (b"[", b'{"a": ') else [])))
+        if opener in (b"(", b"sin(", b"-"):  # wrap an output expression
+            start = data.index(b'"expr": "') + len(b'"expr": "')
+            end = data.index(b'"', start)
+            return data[:start] + opener * depth + data[start:end] + _CLOSERS[opener] * depth + data[end:]
+        return data[:at] + opener * depth + _CLOSERS[opener] * depth + data[at:]
+    if kind == "digits":
+        after_digit = [i + 1 for i in range(len(data)) if data[i : i + 1].isdigit()]
+        at = draw(st.sampled_from(after_digit))
+        return data[:at] + b"9" * draw(st.sampled_from([30, 308, 309, 400, 5000])) + data[at:]
+    bad = draw(st.sampled_from([b"\xff\xfe", b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xc3\xa9"]))
+    return bad + data if draw(st.booleans()) else data[:at] + bad + data[at:]
+
+
+def test_mutated_fixtures_exit_0_or_a_named_input_error():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "problem.json")
+        seen: dict[int, int] = {}
+
+        @settings(
+            max_examples=300,
+            deadline=None,
+            derandomize=True,
+            suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+        )
+        @given(mutated_fixtures())
+        def solve_one(data):
+            Path(path).write_bytes(data)
+            code = _solve_exit_code(path, [])
+            seen[code] = seen.get(code, 0) + 1
+
+        t0 = time.perf_counter()
+        solve_one()
+        elapsed = time.perf_counter() - t0
+    assert elapsed < 30.0, f"took {elapsed:.1f}s"
     assert seen.get(0, 0) > 0 and seen.get(3, 0) > 0, seen

@@ -1,9 +1,11 @@
-"""Expression parsing, printing, the compiled tape, and the three evaluators.
+"""Expression parsing, printing, the tape, and the three evaluators.
 
-Covers the grammar (precedence, functions, integer-only exponents), byte-exact
-error reporting, print/parse round-trips, interval and point evaluation,
-gradient enclosures checked against finite differences, and the tape sweeps
-checked bit for bit against the tree-walking oracles in helpers.py.
+Covers the grammar (precedence, functions, integer-only exponents), exact
+error reporting, the parser against the recursive-descent oracle in
+helpers.py, print/parse round-trips, hash-consing, interval and point
+evaluation, gradient enclosures checked against finite differences, and the
+tape sweeps checked bit for bit against the tree-walking oracles and
+against the unshared tapes of the same expressions.
 """
 
 from __future__ import annotations
@@ -14,17 +16,36 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quantrange.benchgen import linear_problem, motion_problem
 from quantrange.exprs import (
     ADD,
     CONST,
     DIV,
     MSIN,
     MUL,
+    NEG,
     POW,
     SIN,
     SUB,
     VAR,
     MAX_EXPONENT,
+    ParseError,
+    MissingVariable,
+    Tape,
+    TapeBuilder,
+    eval_grad,
+    eval_interval,
+    eval_point,
+    msin_enclosures,
+    parse,
+    to_text,
+)
+from quantrange.intervals import DivisionByZeroInterval, Interval
+from quantrange.problemfile import load_problem
+from quantrange.scalar import affine_coefficients
+
+from conftest import FIXTURES
+from helpers import (
     Add,
     Const,
     Cos,
@@ -32,30 +53,17 @@ from quantrange.exprs import (
     Msin,
     Mul,
     Neg,
-    ParseError,
     Pow,
     Sin,
     Sub,
     Var,
-    MissingVariable,
-    Tape,
     compile_expr,
-    eval_grad,
-    eval_interval,
-    eval_point,
-    msin_enclosures,
-    parse,
-    to_text,
-    variables_of,
-)
-from quantrange.intervals import DivisionByZeroInterval, Interval
-from quantrange.scalar import affine_coefficients
-
-from helpers import (
     oracle_affine_coefficients,
     oracle_eval_grad,
     oracle_eval_interval,
     oracle_eval_point,
+    oracle_parse,
+    oracle_tape,
 )
 
 
@@ -66,36 +74,42 @@ from helpers import (
 
 class TestParsing:
     def test_precedence_and_associativity(self):
-        assert parse("x + y*z") == Add(Var("x"), Mul(Var("y"), Var("z")))
-        assert parse("x - y - z") == Sub(Sub(Var("x"), Var("y")), Var("z"))
-        assert parse("x / y / z") == Div(Div(Var("x"), Var("y")), Var("z"))
-        assert parse("(x + y)*z") == Mul(Add(Var("x"), Var("y")), Var("z"))
+        assert parse("x + y*z") == oracle_tape(Add(Var("x"), Mul(Var("y"), Var("z"))))
+        assert parse("x - y - z") == oracle_tape(Sub(Sub(Var("x"), Var("y")), Var("z")))
+        assert parse("x / y / z") == oracle_tape(Div(Div(Var("x"), Var("y")), Var("z")))
+        assert parse("(x + y)*z") == oracle_tape(Mul(Add(Var("x"), Var("y")), Var("z")))
 
     def test_power_binds_tighter_than_unary_minus(self):
-        assert parse("-x^2") == Neg(Pow(Var("x"), 2))
-        assert parse("2*-x") == Mul(Const(2.0), Neg(Var("x")))
+        assert parse("-x^2") == oracle_tape(Neg(Pow(Var("x"), 2)))
+        assert parse("2*-x") == oracle_tape(Mul(Const(2.0), Neg(Var("x"))))
 
     def test_number_literals(self):
-        assert parse("0.5") == Const(0.5)
-        assert parse(".5") == Const(0.5)
-        assert parse("1.5e-3") == Const(0.0015)
-        assert parse("2e+3") == Const(2000.0)
+        assert parse("0.5") == oracle_tape(Const(0.5))
+        assert parse(".5") == oracle_tape(Const(0.5))
+        assert parse("1.5e-3") == oracle_tape(Const(0.0015))
+        assert parse("2e+3") == oracle_tape(Const(2000.0))
 
     def test_functions(self):
-        assert parse("sin(x)") == Sin(Var("x"))
-        assert parse("cos(x + 1)") == Cos(Add(Var("x"), Const(1.0)))
-        assert parse("msin(a, b*2)") == Msin(Var("a"), Mul(Var("b"), Const(2.0)))
+        assert parse("sin(x)") == oracle_tape(Sin(Var("x")))
+        assert parse("cos(x + 1)") == oracle_tape(Cos(Add(Var("x"), Const(1.0))))
+        assert parse("msin(a, b*2)") == oracle_tape(Msin(Var("a"), Mul(Var("b"), Const(2.0))))
 
     def test_exponent_is_part_of_power_node(self):
-        e = parse("x^3")
-        assert isinstance(e, Pow) and e.exponent == 3
+        assert parse("x^3").code == ((VAR, "x", None), (POW, 0, 3))
 
     def test_whitespace_insensitive(self):
         assert parse(" x+y ") == parse("x + y")
+        assert parse("\tx\r\n+y  \n") == parse("x + y")
 
     def test_variables_of(self):
-        assert variables_of(parse("x*y + sin(z) - x")) == {"x", "y", "z"}
-        assert variables_of(parse("1 + 2")) == set()
+        assert parse("x*y + sin(z) - x").variables == {"x", "y", "z"}
+        assert parse("1 + 2").variables == set()
+
+    def test_equal_tapes_hash_alike(self):
+        assert parse("x+y*2") == parse("(x) + (y*2.0)")
+        assert hash(parse("x+y*2")) == hash(parse("(x) + (y*2.0)"))
+        assert parse("x + y") != parse("y + x")
+        assert parse("x") != "x"
 
 
 class TestParseErrors:
@@ -126,8 +140,8 @@ class TestParseErrors:
             assert exc.value.offset == 2
 
     def test_exponent_cap(self):
-        assert parse(f"x^{MAX_EXPONENT}") == Pow(Var("x"), MAX_EXPONENT)
-        assert parse("x^0001024") == Pow(Var("x"), 1024)
+        assert parse(f"x^{MAX_EXPONENT}") == oracle_tape(Pow(Var("x"), MAX_EXPONENT))
+        assert parse("x^0001024") == oracle_tape(Pow(Var("x"), 1024))
         # the digits are compared before int(), which refuses long literals
         for text in (f"x^{MAX_EXPONENT + 1}", "x^1000000000", "x^" + "9" * 5000):
             with pytest.raises(ParseError, match="exceeds the cap of 1024") as exc:
@@ -148,9 +162,16 @@ class TestParseErrors:
         assert exc.value.offset == 0
         assert "overflow" in str(exc.value)
 
-    def test_deep_nesting_is_a_parse_error(self):
-        with pytest.raises(ParseError, match="nested too deeply"):
-            parse("(" * 3000 + "x" + ")" * 3000)
+    def test_deep_nesting_parses(self):
+        depth = 10_000
+        assert parse("(" * depth + "x" + ")" * depth) == parse("x")
+        tape = parse("sin(" * depth + "x" + ")" * depth)
+        assert len(tape.code) == depth + 1 and tape.code[-1] == (SIN, depth - 1, None)
+        tape = parse("-" * depth + "x")
+        assert len(tape.code) == depth + 1 and tape.code[-1] == (NEG, depth - 1, None)
+        with pytest.raises(ParseError, match="unbalanced parentheses") as exc:
+            parse("(" * depth + "x")
+        assert exc.value.offset == depth + 1
 
     def test_trailing_input(self):
         with pytest.raises(ParseError) as exc:
@@ -169,12 +190,26 @@ class TestParseErrors:
             parse("x$y")
         assert exc.value.offset == 1
 
-    def test_offsets_count_bytes_not_characters(self):
-        # the two-byte identifier shifts the error two bytes past its
-        # character position
-        with pytest.raises(ParseError) as exc:
+    def test_non_ascii_characters_are_unexpected(self):
+        # Tokens are ASCII, so the first non-ASCII character is the error
+        # and everything before it is one byte per character.
+        with pytest.raises(ParseError, match="unexpected character 'α'") as exc:
             parse("α + ¤")
-        assert exc.value.offset == 5
+        assert exc.value.offset == 0
+        with pytest.raises(ParseError, match="unexpected character '¤'") as exc:
+            parse("x + ¤")
+        assert exc.value.offset == 4
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [("x + ²", 4), ("x + 1²", 5), ("x^²", 2), ("x^٣", 2)],
+    )
+    def test_unicode_digits_are_unexpected_characters(self, text, offset):
+        # str.isdigit() is true for these, and float() or int() refuses
+        # them or, for '٣', reads 3.
+        with pytest.raises(ParseError, match="unexpected character") as exc:
+            parse(text)
+        assert exc.value.offset == offset
 
     def test_unknown_function_name(self):
         with pytest.raises(ParseError):
@@ -212,8 +247,8 @@ ROUND_TRIP_TEXTS = [
 class TestPrinter:
     @pytest.mark.parametrize("text", ROUND_TRIP_TEXTS)
     def test_round_trip_is_structurally_identical(self, text):
-        tree = parse(text)
-        assert parse(to_text(tree)) == tree
+        tape = parse(text)
+        assert parse(to_text(tape)) == tape
 
     def test_parentheses_only_where_needed(self):
         assert to_text(parse("x + y*z")) == "x + y*z"
@@ -222,15 +257,15 @@ class TestPrinter:
         assert to_text(parse("x - y - z")) == "x - y - z"
 
     def test_floats_print_shortest_form(self):
-        assert to_text(Const(0.1)) == "0.1"
-        assert to_text(Const(1.31e-7)) == "1.31e-07"
+        assert to_text(parse("0.1")) == "0.1"
+        assert to_text(parse("1.31e-7")) == "1.31e-07"
 
     def test_hand_built_negative_constant_prints_value_correctly(self):
         # The parser itself never produces a negative literal (it wraps a
         # negation node), so the round-trip contract is value-level here.
-        tree = Mul(Const(-2.5), Var("x"))
-        reparsed = parse(to_text(tree))
-        assert eval_point(reparsed, {"x": 3.0}) == eval_point(tree, {"x": 3.0})
+        tape = compile_expr(Mul(Const(-2.5), Var("x")))
+        reparsed = parse(to_text(tape))
+        assert eval_point(reparsed, {"x": 3.0}) == eval_point(tape, {"x": 3.0})
 
 
 def _const_strategy():
@@ -241,32 +276,30 @@ def _const_strategy():
     ).filter(lambda v: math.copysign(1.0, v) > 0).map(Const)
 
 
-def _tree_strategy(depth: int = 4):
-    # Depth-bounded by construction: unbounded unary nesting would exceed the
-    # recursive parser's and the generated __eq__'s Python stack budget.
+def _tree_strategy(max_leaves: int = 16):
     leaves = st.one_of(_const_strategy(), st.sampled_from("xyz").map(Var))
-    if depth == 0:
-        return leaves
-    sub = _tree_strategy(depth - 1)
-    return st.one_of(
-        leaves,
-        st.tuples(sub, sub).map(lambda p: Add(*p)),
-        st.tuples(sub, sub).map(lambda p: Sub(*p)),
-        st.tuples(sub, sub).map(lambda p: Mul(*p)),
-        st.tuples(sub, sub).map(lambda p: Div(*p)),
-        sub.map(Neg),
-        st.tuples(sub, st.integers(0, 4)).map(lambda p: Pow(*p)),
-        sub.map(Sin),
-        sub.map(Cos),
-        st.tuples(sub, sub).map(lambda p: Msin(*p)),
-    )
+
+    def extend(sub):
+        return st.one_of(
+            st.tuples(sub, sub).map(lambda p: Add(*p)),
+            st.tuples(sub, sub).map(lambda p: Sub(*p)),
+            st.tuples(sub, sub).map(lambda p: Mul(*p)),
+            st.tuples(sub, sub).map(lambda p: Div(*p)),
+            sub.map(Neg),
+            st.tuples(sub, st.integers(0, 4)).map(lambda p: Pow(*p)),
+            sub.map(Sin),
+            sub.map(Cos),
+            st.tuples(sub, sub).map(lambda p: Msin(*p)),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
 
 
 class TestPrinterFuzz:
     @given(_tree_strategy())
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_arbitrary_trees_round_trip(self, tree):
-        assert parse(to_text(tree)) == tree
+        assert parse(to_text(compile_expr(tree))) == oracle_tape(tree)
 
 
 # ---------------------------------------------------------------------------
@@ -442,22 +475,21 @@ class TestDeepTrees:
         tree = Var("x")
         for _ in range(5000):
             tree = Add(tree, one)
+        tape = compile_expr(tree)
         env = {"x": Interval(0.0, 0.0)}
-        assert eval_interval(tree, env) == Interval(5000.0, 5000.0)
-        assert eval_point(tree, {"x": 1.0}) == 5001.0
-        grad = eval_grad(tree, env)
+        assert eval_interval(tape, env) == Interval(5000.0, 5000.0)
+        assert eval_point(tape, {"x": 1.0}) == 5001.0
+        grad = eval_grad(tape, env)
         assert grad.partials["x"] == Interval(1.0, 1.0)
-        text = to_text(tree)
+        text = to_text(tape)
         assert text.startswith("x + 1.0") and text.endswith("+ 1.0")
 
     def test_long_parsed_chain_round_trips(self):
-        # Compare by canonical text: the printer is injective for parsed
-        # trees, while the generated node __eq__ would recurse per level.
         text = " + ".join(["x"] * 2000)
-        tree = parse(text)
-        assert eval_point(tree, {"x": 1.0}) == 2000.0
-        printed = to_text(tree)
-        assert to_text(parse(printed)) == printed
+        tape = parse(text)
+        assert len(tape.code) == 2000  # one x, 1999 sums
+        assert eval_point(tape, {"x": 1.0}) == 2000.0
+        assert parse(to_text(tape)) == tape
 
     def test_shared_subtrees_evaluated_once(self):
         # build a 2^60-node tree as a 60-level DAG; only sharing-aware
@@ -465,8 +497,9 @@ class TestDeepTrees:
         tree = Var("x")
         for _ in range(60):
             tree = Add(tree, tree)
-        assert eval_point(tree, {"x": 1.0}) == 2.0**60
-        assert eval_interval(tree, {"x": Interval(1.0, 1.0)}) == Interval(2.0**60, 2.0**60)
+        tape = compile_expr(tree)
+        assert eval_point(tape, {"x": 1.0}) == 2.0**60
+        assert eval_interval(tape, {"x": Interval(1.0, 1.0)}) == Interval(2.0**60, 2.0**60)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +509,7 @@ class TestDeepTrees:
 
 class TestTape:
     def test_children_precede_parents_and_root_is_last(self):
-        tape = compile_expr(parse("x*2 - sin(y)"))
+        tape = parse("x*2 - sin(y)")
         assert isinstance(tape, Tape)
         for slot, (op, a, b) in enumerate(tape.code):
             if op not in (CONST, VAR):
@@ -486,41 +519,60 @@ class TestTape:
         assert tape.code[-1][0] == SUB
 
     def test_shared_subtree_gets_one_slot(self):
-        x = Var("x")
-        s = Sin(x)
-        tape = compile_expr(Add(Mul(s, s), s))
-        assert [ins[0] for ins in tape.code] == [VAR, SIN, MUL, ADD]
-        assert tape.code[2] == (MUL, 1, 1) and tape.code[3] == (ADD, 2, 1)
-        # sin(x) is read by both operands of the product and by the sum
-        assert tape.readers == (1, 3, 1, 0)
+        for tape in (parse("sin(x)*sin(x) + sin(x)"), compile_expr(Add(Mul(s := Sin(Var("x")), s), s))):
+            assert [ins[0] for ins in tape.code] == [VAR, SIN, MUL, ADD]
+            assert tape.code[2] == (MUL, 1, 1) and tape.code[3] == (ADD, 2, 1)
+            # sin(x) is read by both operands of the product and by the sum
+            assert tape.readers == (1, 3, 1, 0)
+
+    def test_constants_are_shared_by_their_bits(self):
+        assert parse("2*x + 2.0*y + 2e0").code.count((CONST, 2.0, None)) == 1
+        builder = TapeBuilder()
+        zero, minus_zero = builder.emit(CONST, 0.0), builder.emit(CONST, -0.0)
+        builder.emit(ADD, zero, minus_zero)
+        assert zero != minus_zero and repr(builder.tape().code[1][1]) == "-0.0"
 
     def test_readers_count_operand_positions(self):
-        assert compile_expr(parse("x + y + z")).readers == (1, 1, 1, 1, 0)
-        x = Var("x")
-        tape = compile_expr(Add(Add(x, x), Pow(x, 2)))
+        assert parse("x + y + z").readers == (1, 1, 1, 1, 0)
+        tape = parse("x + x + x^2")
         assert tape.readers == (3, 1, 1, 0)
         box = {"x": Interval(-1.0, 2.0)}
+        x = Var("x")
         assert eval_grad(tape, box) == oracle_eval_grad(Add(Add(x, x), Pow(x, 2)), box)
 
     def test_operands_hold_value_name_and_exponent(self):
-        tape = compile_expr(parse("x^3 + 0.5"))
+        tape = parse("x^3 + 0.5")
         assert tape.code == ((VAR, "x", None), (POW, 0, 3), (CONST, 0.5, None), (ADD, 1, 2))
 
     def test_sweeps_accept_the_tape_or_the_expression(self):
-        expr = parse("msin(x, y)/(2 + y^2)")
-        tape = compile_expr(expr)
+        """A sweep gives the same result on the parsed, shared tape as on
+        the unshared tape of the expression tree."""
+        text = "msin(x, y)/(2.0 + y^2) + msin(x, y)*y^2"
+        tape, unshared = parse(text), compile_expr(oracle_parse(text))
+        assert len(tape.code) < len(unshared.code)
         box = {"x": Interval(0.0, 0.5), "y": Interval(-0.25, 0.25)}
-        assert eval_point(tape, {"x": 0.1, "y": 0.2}) == eval_point(expr, {"x": 0.1, "y": 0.2})
-        assert eval_interval(tape, box) == eval_interval(expr, box)
-        assert eval_grad(tape, box) == eval_grad(expr, box)
-        assert to_text(tape) == to_text(expr)
+        assert eval_point(tape, {"x": 0.1, "y": 0.2}) == eval_point(unshared, {"x": 0.1, "y": 0.2})
+        assert eval_interval(tape, box) == eval_interval(unshared, box)
+        assert eval_grad(tape, box) == eval_grad(unshared, box)
+        assert to_text(tape) == to_text(unshared) == text
+
+    def test_children_walk_the_unshared_tree(self):
+        def size(node):
+            count, stack = 0, [node]
+            while stack:
+                count += 1
+                stack.extend(stack.pop().children())
+            return count
+
+        tape = parse("sin(x)*sin(x) + sin(x)")
+        assert len(tape.code) == 4 and size(tape) == 8
 
 
 @st.composite
 def _dag_strategy(draw):
     """Small trees combined with repeated references to earlier nodes, so
     subtrees are shared objects."""
-    pool = draw(st.lists(_tree_strategy(2), min_size=1, max_size=3))
+    pool = draw(st.lists(_tree_strategy(3), min_size=1, max_size=3))
     for _ in range(draw(st.integers(1, 8))):
         a = draw(st.sampled_from(pool))
         b = draw(st.one_of(st.just(a), st.sampled_from(pool)))
@@ -605,19 +657,122 @@ class TestTapeMatchesOracles:
 
 def test_affine_fold_through_a_zero_power_of_a_trigonometric_node():
     for text in ("sin(x)^0 + x", "x + msin(x, y)^0*1"):
-        expr = parse(text)
-        assert affine_coefficients(expr) == oracle_affine_coefficients(expr) == (Fraction(1), {"x": Fraction(1)})
+        want = oracle_affine_coefficients(oracle_parse(text))
+        assert affine_coefficients(parse(text)) == want == (Fraction(1), {"x": Fraction(1)})
 
 
 def test_missing_variable_is_the_oracles_first():
-    expr = parse("y*q + p")
+    text = "y*q + p"
     for fn, oracle, env in (
         (eval_point, oracle_eval_point, {"y": 1.0}),
         (eval_interval, oracle_eval_interval, {"y": Interval(0.0, 1.0)}),
         (eval_grad, oracle_eval_grad, {"y": Interval(0.0, 1.0)}),
     ):
         with pytest.raises(MissingVariable) as got:
-            fn(compile_expr(expr), env)
+            fn(parse(text), env)
         with pytest.raises(MissingVariable) as want:
-            oracle(expr, env)
+            oracle(oracle_parse(text), env)
         assert got.value.name == want.value.name == "q"
+
+
+# ---------------------------------------------------------------------------
+# The parser against the recursive-descent oracle, and the shared tape
+# against the unshared one
+# ---------------------------------------------------------------------------
+
+# The grammar's alphabet, with malformed pieces: stray characters, a lone
+# dot, an overflowing literal, exponents over the cap and a Unicode digit.
+_PIECES = st.sampled_from(
+    ["x", "y", "z1", "_w", "sin", "cos", "msin", "foo", "(", ")", ",", "+", "-", "*", "/", "^",
+     "0", "2", "3", "0007", "1024", "1025", "1.5", ".5", "2.", "3e2", "4E-1", "1e999",
+     " ", "\t", "$", ".", "²", "e"]
+)
+
+
+def _parse_outcome(parse_fn, text):
+    try:
+        return "ok", repr(parse_fn(text).code)
+    except ParseError as exc:
+        return "error", str(exc), exc.offset, exc.expected
+
+
+@st.composite
+def _token_walks(draw):
+    """Texts that mostly follow the grammar: an operand, a minus or an
+    opening bracket where an operand is due, an operator, a comma or a
+    closing bracket after one; one piece in eight is any piece, and the
+    open brackets are closed at the end half of the time."""
+    text, operand_due, depth = "", True, 0
+    for _ in range(draw(st.integers(1, 30))):
+        if draw(st.integers(0, 7)) == 0:
+            piece = draw(_PIECES)
+        elif operand_due:
+            piece = draw(st.sampled_from(["x", "y", "2", "0.5", "-", "(", "sin(", "cos(", "msin("]))
+        else:
+            piece = draw(st.sampled_from(["+", "-", "*", "/", "^2", ",", ")"]))
+        text += piece
+        depth += piece.count("(") - piece.count(")")
+        if not piece.isspace():
+            operand_due = piece[-1] in "(+-*/,^"
+    if draw(st.booleans()):
+        text += ")" * max(depth, 0)
+    return text
+
+
+class TestParserMatchesOracle:
+    @given(st.one_of(st.lists(_PIECES, max_size=40).map("".join), _token_walks()))
+    @settings(max_examples=1500, deadline=None, derandomize=True)
+    def test_random_token_strings(self, text):
+        # At most 40 pieces nest at most 40 deep, well inside the oracle's
+        # budget.
+        assert _parse_outcome(parse, text) == _parse_outcome(
+            lambda t: oracle_tape(oracle_parse(t)), text
+        )
+
+    @given(_tree_strategy(), st.lists(st.tuples(st.floats(0, 1), st.integers(0, 2), _PIECES), max_size=3))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_printed_trees_with_edits(self, tree, edits):
+        # Each edit replaces 0-2 characters at a relative position with a
+        # piece, so most texts are one or two mistakes away from valid.
+        text = to_text(compile_expr(tree))
+        for where, cut, piece in edits:
+            at = int(where * len(text))
+            text = text[:at] + piece + text[at + cut :]
+        assert _parse_outcome(parse, text) == _parse_outcome(
+            lambda t: oracle_tape(oracle_parse(t)), text
+        )
+
+
+def _sweeps(tape, point, box):
+    """repr of each sweep's result, or the type of the exception it raised."""
+    return (
+        _outcome(eval_point, tape, point),
+        _outcome(eval_interval, tape, box),
+        _outcome(eval_grad, tape, box),
+        _outcome(lambda t, _: affine_coefficients(t), tape, None),
+        _outcome(lambda t, _: to_text(t), tape, None),
+    )
+
+
+def _output_texts():
+    problems = {path.stem: load_problem(str(path)).problem for path in sorted(FIXTURES.glob("*.json"))}
+    problems.update(linear50=linear_problem(50, seed=50), motion10=motion_problem(10), motion80=motion_problem(80))
+    return [
+        pytest.param(
+            to_text(out.expr), p.centers(), p.domains(), id=f"{name}-{out.name}"
+        )
+        for name, p in problems.items()
+        for out in p.outputs
+    ]
+
+
+@pytest.mark.parametrize("text, point, box", _output_texts())
+def test_shared_tape_sweeps_match_the_unshared_tape(text, point, box):
+    assert _sweeps(parse(text), point, box) == _sweeps(compile_expr(oracle_parse(text)), point, box)
+
+
+@given(tree=_tree_strategy(), point=_point_env(), box=_box_env())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_shared_tape_sweeps_match_on_printed_trees(tree, point, box):
+    text = to_text(compile_expr(tree))
+    assert _sweeps(parse(text), point, box) == _sweeps(compile_expr(oracle_parse(text)), point, box)

@@ -17,6 +17,8 @@ from quantrange.problem import (
     normalize_blocks,
 )
 
+from helpers import with_blocks
+
 FA = Quantifier.FORALL
 EX = Quantifier.EXISTS
 
@@ -160,10 +162,10 @@ class TestViews:
 
     def test_with_blocks_replaces_only_that_field(self):
         p = _problem()
-        r = p.with_blocks((_b(FA, "x", "y"),))
+        r = with_blocks(p, (_b(FA, "x", "y"),))
         assert r.blocks == (_b(FA, "x", "y"),) and r.outputs == p.outputs
 
     def test_with_blocks_still_validates(self):
         p = _problem()
         with pytest.raises(ValueError):
-            p.with_blocks((_b(FA, "x"),))  # y no longer covered
+            with_blocks(p, (_b(FA, "x"),))  # y no longer covered

@@ -166,6 +166,8 @@ class TestVariablesSchema:
         full = base_doc()
         full["variables"][0]["domain"] = doc["domain"]
         expect_error(full, DomainError, "$.variables[0].domain[0]")
+        full["variables"][0]["domain"] = [0, 10**400]  # float() overflows
+        expect_error(full, DomainError, "$.variables[0].domain[1]")
 
     def test_unknown_variable_key(self):
         doc = base_doc()
@@ -343,6 +345,22 @@ class TestLoadProblem:
             load_problem(str(path))
         assert excinfo.value.path == "$"
         assert "invalid JSON" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "data, fragment",
+        [
+            (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+            (b'{"schema": 1' + b"0" * 5000 + b"}", "integer literal of 5001 digits"),
+            (b"\xff\xfe{}", "not UTF-8"),
+        ],
+        ids=["deep-json", "long-integer", "utf16-bom"],
+    )
+    def test_unreadable_json_reports_document_root(self, tmp_path, data, fragment):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(SchemaError, match=fragment) as excinfo:
+            load_problem(str(path))
+        assert excinfo.value.path == "$"
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

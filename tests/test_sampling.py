@@ -73,9 +73,9 @@ class TestSamplingConfig:
 
 
 def test_one_tape_per_output_and_one_sweep_per_leaf(monkeypatch):
-    """The expression is compiled once per output, never per leaf, and each
-    of the 41^3 grid points is one eval_point call on the tape."""
-    calls = {"compile_expr": 0, "eval_point": 0}
+    """Each of the 41^3 grid points is one eval_point call on the output's
+    tape, which the sampler uses as loaded."""
+    calls = {"eval_point": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -90,7 +90,7 @@ def test_one_tape_per_output_and_one_sweep_per_leaf(monkeypatch):
     loaded = load_problem(str(FIXTURES / "nonlinear_scalar.json"))
     (got,) = sampling_estimate(loaded.problem, 41)
     assert got == Interval(6.0, 16.25)
-    assert calls == {"compile_expr": len(loaded.problem.outputs), "eval_point": 41**3}
+    assert calls == {"eval_point": 41**3}
 
 
 class TestGrids:

@@ -4,20 +4,17 @@ and the exhaustive/greedy assignment searches."""
 
 from __future__ import annotations
 
-import json
 import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantrange import exprs, problemfile, scalar, vectorsolve
-from quantrange import problem as problem_module
-from quantrange.benchgen import motion_problem
+from quantrange import scalar, vectorsolve
 from quantrange.exprs import parse
 from quantrange.intervals import EMPTY, Interval, is_empty
 from quantrange.problem import Block, Output, QuantifiedProblem, Quantifier, VariableSpec
-from quantrange.problemfile import load_problem, parse_problem, problem_to_json
+from quantrange.problemfile import load_problem
 from quantrange.scalar import (
     ZERO_ROW,
     ContributionRow,
@@ -36,7 +33,7 @@ from quantrange.vectorsolve import (
 )
 
 from conftest import FIXTURES
-from helpers import oracle_assemble, oracle_exhaustive_assignment, oracle_inner
+from helpers import oracle_assemble, oracle_exhaustive_assignment, oracle_inner, with_blocks
 
 FA = Quantifier.FORALL
 EX = Quantifier.EXISTS
@@ -253,9 +250,8 @@ FIXTURE_FILES = (
 
 @pytest.mark.parametrize("fixture", FIXTURE_FILES)
 def test_each_output_is_prepared_at_most_once(fixture, monkeypatch):
-    """The per-output work, compiling the expression included, runs once per
-    output, wherever it is reached from."""
-    names = ("compile_expr", "eval_grad", "eval_interval", "contribution_rows", "affine_coefficients")
+    """The per-output work runs once per output, wherever it is reached from."""
+    names = ("eval_grad", "eval_interval", "contribution_rows", "affine_coefficients")
     calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
@@ -290,7 +286,7 @@ def test_components_match_scalar_solves_bit_for_bit(fixture):
         got = (comp.outer, comp.outer_failed_pair, comp.method, comp.center_value, comp.rows)
         want = (ref.outer, ref.outer_failed_pair, ref.method, ref.center_value, ref.rows)
         assert repr(got) == repr(want), out.name
-        ref = solve_scalar(problem.with_blocks(comp.derived), out.expr, rows)
+        ref = solve_scalar(with_blocks(problem, comp.derived), out.expr, rows)
         assert repr((comp.inner, comp.inner_failed_pair)) == repr(
             (ref.inner, ref.inner_failed_pair)
         ), out.name
@@ -370,43 +366,6 @@ def test_joint_fixture_scores_few_kept_sets(monkeypatch):
     assert len(set(scored)) == len(scored) == 62 < m * 2**e
 
 
-def test_motion_solve_walks_each_output_tree_twice(monkeypatch):
-    """variables_of runs once when the file is parsed and once when the
-    problem is validated; the solve itself adds no walk."""
-    doc = json.loads(json.dumps(problem_to_json(motion_problem(10))))
-    calls = [0]
-    original = exprs.variables_of
-
-    def counted(expr):
-        calls[0] += 1
-        return original(expr)
-
-    for module in (problem_module, problemfile):
-        monkeypatch.setattr(module, "variables_of", counted)
-    loaded = parse_problem(doc)
-    solve_vector(loaded.problem, supplied=loaded.supplied)
-    assert len(loaded.problem.outputs) == 1
-    assert calls[0] == 2
-
-
-def test_joint_solve_walks_no_output_tree(monkeypatch):
-    """Once the file is loaded, a joint solve builds no rewritten problem,
-    so it never walks an output tree with variables_of."""
-    calls = [0]
-    original = exprs.variables_of
-
-    def counted(expr):
-        calls[0] += 1
-        return original(expr)
-
-    loaded = load_problem(str(FIXTURES / "dubbins_joint.json"))
-    for module in (problem_module, problemfile):
-        monkeypatch.setattr(module, "variables_of", counted)
-    res = solve_vector(loaded.problem, supplied=loaded.supplied)
-    assert len(res.components) == 3
-    assert calls[0] == 0
-
-
 def test_a_failing_kept_set_assembly_is_named():
     """Only the reported halves of a kept set are assembled: demoting e
     would make a's outer condition fail and the fallback sum of its outer
@@ -426,7 +385,7 @@ def test_a_failing_kept_set_assembly_is_named():
     assert a.outer == Interval(-1e308, 1e308) and a.outer_failed_pair is None
     assert b.inner == Interval(0.0, 0.0)
     with pytest.raises(ValueError, match=r"^interval bounds must be finite"):
-        assemble(prepare(p, p.outputs[0].expr, rows), p.with_blocks(a.derived))
+        assemble(prepare(p, p.outputs[0].expr, rows), with_blocks(p, a.derived))
     res = solve_vector(p, supplied)
     assert res.assignment == {"e": 0}
     assert res.components[0].outer == Interval(-1e308, 1e308)
@@ -506,7 +465,7 @@ def test_memoised_search_matches_brute_force(case):
     for j, out in enumerate(problem.outputs):
         outer = solve_scalar(problem, out.expr, supplied[out.name])
         derived = derived_blocks(problem, j, want)
-        inner = solve_scalar(problem.with_blocks(derived), out.expr, supplied[out.name])
+        inner = solve_scalar(with_blocks(problem, derived), out.expr, supplied[out.name])
         components.append(
             ComponentResult(
                 out.name, inner.inner, outer.outer, outer.center_value, outer.rows,
@@ -581,7 +540,7 @@ def _kept_sets(problem, j):
     names = existential_order(problem)
     for kept in range(1 << len(names)):
         assignment = {n: j if kept >> i & 1 else j + 1 for i, n in enumerate(names)}
-        yield kept, problem.with_blocks(derived_blocks(problem, j, assignment))
+        yield kept, with_blocks(problem, derived_blocks(problem, j, assignment))
 
 
 def _outcome(fn, *args):
