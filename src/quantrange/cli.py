@@ -220,6 +220,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise InputError(f"no such file: {args.file}")
     except IsADirectoryError:
         raise InputError(f"not a file: {args.file}")
+    except OSError as exc:
+        raise InputError(f"cannot read {args.file}: {exc.strerror}")
     except (SchemaError, DomainError, ParseError) as exc:
         raise InputError(f"{args.file}: {exc}")
     t_load = time.perf_counter()
@@ -347,9 +349,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
             problem = linear_problem(args.k, seed=args.seed)
         else:
             problem = motion_problem(args.k)
-    except ValueError as exc:
+        text = json.dumps(problem_to_json(problem), indent=2)
+    except ValueError as exc:  # k out of range, or an expression text too long to print
         raise InputError(str(exc))
-    print(json.dumps(problem_to_json(problem), indent=2))
+    print(text)
     return 0
 
 

@@ -75,6 +75,7 @@ __all__ = [
     "MSIN",
     "ParseError",
     "MAX_EXPONENT",
+    "MAX_TEXT",
     "MissingVariable",
     "parse",
     "to_text",
@@ -399,8 +400,33 @@ def _fmt(op: int, a: Any, b: Any, done: list[tuple[str, int]]) -> tuple[str, int
     return f"{_wrap(done[a], prec, False)}{sym}{_wrap(done[b], prec, True)}", prec
 
 
+# The longest text to_text builds; `gen motion 1000` prints 5.4 M characters.
+MAX_TEXT = 1 << 28
+
+# Characters an instruction adds to its operands' text, with one pair of
+# brackets around each operand (_wrap adds at most one).
+_TEXT_EXTRA = {SIN: 5, COS: 5, MSIN: 8, NEG: 3, POW: 3, ADD: 7, SUB: 7, MUL: 5, DIV: 5}
+
+
+def _text_bound(tape: Tape) -> int:
+    """An upper bound on len(to_text(tape)), capped at MAX_TEXT + 1."""
+    size: list[int] = []
+    for op, a, b in tape.code:
+        if op == CONST or op == VAR:
+            n = len(repr(a) if op == CONST else a)
+        else:
+            extra = len(str(b)) if op == POW else 0 if b is None else size[b]
+            n = size[a] + _TEXT_EXTRA[op] + extra
+        size.append(min(n, MAX_TEXT + 1))
+    return size[-1]
+
+
 def to_text(tape: Tape) -> str:
-    """Render the expression as parseable infix text."""
+    """Render the expression as parseable infix text.  A slot is printed
+    once per path to it, so raise ValueError, before building any text,
+    when the text could exceed MAX_TEXT characters."""
+    if _text_bound(tape) > MAX_TEXT:
+        raise ValueError(f"expression text would exceed {MAX_TEXT} characters")
     done: list[tuple[str, int]] = []
     for op, a, b in tape.code:
         done.append(_fmt(op, a, b, done))

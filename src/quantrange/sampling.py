@@ -45,6 +45,9 @@ def _grid(domain: Interval, points: int) -> list[float]:
     if lo == hi:
         return [lo]
     step = (hi - lo) / (points - 1)
+    if step == math.inf:  # space the exact halves of lo and hi, then double
+        half = (hi / 2 - lo / 2) / (points - 1)
+        return [lo] + [2 * (lo / 2 + i * half) for i in range(1, points - 1)] + [hi]
     return [lo] + [lo + i * step for i in range(1, points - 1)] + [hi]
 
 

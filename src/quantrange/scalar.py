@@ -34,10 +34,10 @@ are decided exactly, and final endpoints are rounded inward (inner) or
 outward (outer).  The model also gives the inner box of any kept set: the
 prefix rewrite of a vector solve.
 
-None of the per-expression work depends on the prefix: `prepare` computes
-the center value, the rows and the affine form once, and `assemble` turns
-them into bounds for any prefix over the same variables.  `solve_scalar`
-is the two in sequence.
+`prepare` evaluates an expression once (center value, rows, affine form)
+and returns its RowModel under the problem's prefix; the model's `result`
+reports the bounds of any kept set.  `solve_scalar` is `prepare`, then
+`result` with every existential kept.
 """
 
 from __future__ import annotations
@@ -82,16 +82,12 @@ __all__ = [
     "ZERO_ROW",
     "AssembledBounds",
     "ScalarResult",
-    "PreparedOutput",
     "RowModel",
     "contribution_rows",
     "assemble_bounds",
     "affine_coefficients",
     "exact_affine_range",
     "prepare",
-    "row_model",
-    "assemble_kept",
-    "assemble",
     "solve_scalar",
 ]
 
@@ -191,9 +187,25 @@ class AssembledBounds:
     outer_failed_pair: int | None
 
 
+@dataclass(slots=True)
+class ScalarResult:
+    """Inner/outer quantified range bounds for one scalar expression."""
+
+    inner: MaybeInterval
+    outer: MaybeInterval
+    center_value: Interval
+    rows: dict[str, ContributionRow]
+    method: str  # "exact-affine" or "mean-value"
+    inner_failed_pair: int | None = None
+    outer_failed_pair: int | None = None
+
+
 class RowModel:
     """The assembled bounds of one output, for every kept set, from integer
     additions.
+
+    The model keeps, for the report, its output's center value fc, rows and
+    exact affine form (None when not affine or when the rows were supplied).
 
     A kept set (bit i of a mask for the i-th existential of the prefix)
     names the existentials that stay existential; the others are demoted
@@ -235,50 +247,59 @@ class RowModel:
     """
 
     __slots__ = (
-        "denom", "lo", "hi", "slack", "rows", "pair_masks", "outer_sums", "outer_slack", "fallback"
+        "fc", "rows", "affine", "denom", "lo", "hi", "slack", "deltas", "pair_masks",
+        "outer_sums", "outer_slack", "fallback", "inner_widths", "universal_width",
     )
 
     def __init__(
         self,
+        fc: Interval | None,
+        rows: dict[str, ContributionRow],
+        affine: _AffinePair | None,
         denom: int,
-        fc: tuple[int, int],
-        rows: Mapping[str, _ScaledRow],
+        scaled_fc: tuple[int, int],
+        scaled: Mapping[str, _ScaledRow],
         pairs: Sequence[tuple[Block, Block]],
         fallback_names: Sequence[str] | None,
     ) -> None:
-        fl, fh = fc
+        self.fc, self.rows, self.affine = fc, rows, affine
+        fl, fh = scaled_fc
         self.denom = denom
         self.lo, self.hi = fh, fl
         out_lo, out_hi = fl, fh
         self.slack: list[int] = []
         self.outer_slack: list[int] = []
-        self.rows: list[tuple[int, int, int, int]] = []  # (pair, d lo, d hi, d slack)
+        self.deltas: list[tuple[int, int, int, int]] = []  # (pair, d lo, d hi, d slack)
         self.pair_masks: list[int] = []  # the kept-set bits of each pair's existentials
+        self.inner_widths: list[int] = []  # for greedy: each existential's ih - il
+        self.universal_width = 0  # for greedy: the universals' total oh - ol
         for pair, (fa, ex) in enumerate(pairs):
             slack = out_slack = mask = 0
             for v in fa.names:
-                il, ih, ol, oh = rows.get(v, _ZERO_SCALED)
+                il, ih, ol, oh = scaled.get(v, _ZERO_SCALED)
                 self.lo, self.hi, slack = self.lo + oh, self.hi + ol, slack - (oh - ol)
                 out_lo, out_hi, out_slack = out_lo + ih, out_hi + il, out_slack - (ih - il)
+                self.universal_width += oh - ol
             for v in ex.names:
-                il, ih, ol, oh = rows.get(v, _ZERO_SCALED)
+                il, ih, ol, oh = scaled.get(v, _ZERO_SCALED)
                 self.lo, self.hi, slack = self.lo + oh, self.hi + ol, slack - (oh - ol)
                 out_lo, out_hi, out_slack = out_lo + ol, out_hi + oh, out_slack + (oh - ol)
-                mask |= 1 << len(self.rows)
-                self.rows.append((pair, il - oh, ih - ol, (oh - ol) + (ih - il)))
+                mask |= 1 << len(self.deltas)
+                self.deltas.append((pair, il - oh, ih - ol, (oh - ol) + (ih - il)))
+                self.inner_widths.append(ih - il)
             self.slack.append(slack)
             self.outer_slack.append(out_slack)
             self.pair_masks.append(mask)
         self.outer_sums = out_lo, out_hi
         self.fallback = None
         if fallback_names is not None:
-            every = [rows.get(v, _ZERO_SCALED) for v in fallback_names]
+            every = [scaled.get(v, _ZERO_SCALED) for v in fallback_names]
             self.fallback = fl + sum(r[2] for r in every), fh + sum(r[3] for r in every)
 
     @property
     def keep_all(self) -> int:
         """The kept set of every existential: the original prefix."""
-        return (1 << len(self.rows)) - 1
+        return (1 << len(self.deltas)) - 1
 
     def inner(self, kept: int) -> tuple[MaybeInterval, int | None]:
         """The inner box of the kept set's rewritten prefix and the first
@@ -287,7 +308,7 @@ class RowModel:
         bits = kept
         while bits:
             low = bits & -bits
-            pair, d_lo, d_hi, d_slack = self.rows[low.bit_length() - 1]
+            pair, d_lo, d_hi, d_slack = self.deltas[low.bit_length() - 1]
             lo += d_lo
             hi += d_hi
             slack[pair] += d_slack
@@ -323,10 +344,20 @@ class RowModel:
         )
         return outer, None if failed is None else failed + 1
 
+    def result(self, kept: int) -> ScalarResult:
+        """The outer bound of the model's prefix and the inner box of the
+        kept set.  An affine expression reports no failing pair."""
+        inner, inner_failed = self.inner(kept)
+        outer, outer_failed = self.outer()
+        if self.affine is not None:
+            inner_failed = outer_failed = None
+        method = "mean-value" if self.affine is None else "exact-affine"
+        return ScalarResult(inner, outer, self.fc, self.rows, method, inner_failed, outer_failed)
+
 
 def _mean_value_model(
     fc: Interval,
-    rows: Mapping[str, ContributionRow],
+    rows: dict[str, ContributionRow],
     pairs: Sequence[tuple[Block, Block]],
     all_names: Sequence[str],
 ) -> RowModel:
@@ -335,7 +366,7 @@ def _mean_value_model(
         for name, r in rows.items()
     }
     fc_scaled = _scaled_float(fc.lo), _scaled_float(fc.hi)
-    return RowModel(_FLOAT_DENOM, fc_scaled, scaled, pairs, all_names)
+    return RowModel(fc, rows, None, _FLOAT_DENOM, fc_scaled, scaled, pairs, all_names)
 
 
 def assemble_bounds(
@@ -456,11 +487,15 @@ def _scaled(pair: _AffinePair, factor: Fraction) -> _AffinePair | None:
 
 
 def _affine_model(
-    const: Fraction, coeffs: Mapping[str, Fraction], problem: QuantifiedProblem
+    fc: Interval | None,
+    rows: dict[str, ContributionRow],
+    affine: _AffinePair,
+    problem: QuantifiedProblem,
 ) -> RowModel:
-    """The row model of const + sum(coeffs[v] * v): each domain is rescaled
+    """The row model of affine = (const, coeffs): each domain is rescaled
     to [-1, 1] around its midpoint, and variable v gets the row [-r, r] for
-    both inner and outer, r = |coefficient| * radius."""
+    both inner and outer, r = |coeffs[v]| * radius."""
+    const, coeffs = affine
     radius: dict[str, Fraction] = {}
     for spec in problem.variables:
         c = coeffs.get(spec.name, Fraction(0))
@@ -471,7 +506,8 @@ def _affine_model(
     units = {name: r.numerator * (denom // r.denominator) for name, r in radius.items()}
     scaled = {name: (-n, n, -n, n) for name, n in units.items()}
     point = const.numerator * (denom // const.denominator)
-    return RowModel(denom, (point, point), scaled, problem.normalized_pairs(), None)
+    pairs = problem.normalized_pairs()
+    return RowModel(fc, rows, affine, denom, (point, point), scaled, pairs, None)
 
 
 def exact_affine_range(
@@ -487,7 +523,7 @@ def exact_affine_range(
     offset by the signed alternating norm sums, valid precisely when every
     universal norm is covered by the existential norms that follow it.
     """
-    model = _affine_model(delta0, coeffs, problem)
+    model = _affine_model(None, {}, (delta0, coeffs), problem)
     if _first_negative_suffix(model.outer_slack) is not None:
         return None
     lo, hi = model.outer_sums
@@ -495,73 +531,27 @@ def exact_affine_range(
 
 
 # ---------------------------------------------------------------------------
-# Scalar solve: prepare once, assemble per prefix
+# Scalar solve: prepare once, report any kept set
 # ---------------------------------------------------------------------------
-
-
-@dataclass(slots=True)
-class ScalarResult:
-    """Inner/outer quantified range bounds for one scalar expression."""
-
-    inner: MaybeInterval
-    outer: MaybeInterval
-    center_value: Interval
-    rows: dict[str, ContributionRow]
-    method: str  # "exact-affine" or "mean-value"
-    inner_failed_pair: int | None = None
-    outer_failed_pair: int | None = None
-
-
-@dataclass(frozen=True, slots=True)
-class PreparedOutput:
-    """Everything the bounds of one expression need, whatever the prefix:
-    the center value, the contribution rows and the exact affine form
-    (None when the expression is not affine or its rows were supplied)."""
-
-    fc: Interval
-    rows: dict[str, ContributionRow]
-    affine: _AffinePair | None
 
 
 def prepare(
     problem: QuantifiedProblem,
     tape: Tape,
     supplied_rows: Mapping[str, ContributionRow] | None = None,
-) -> PreparedOutput:
-    """Evaluate the tape over the problem's variables; the prefix is not
-    read.  Supplied rows replace the computed ones and force row assembly."""
+) -> RowModel:
+    """Evaluate the tape over the problem's variables once and return its
+    row model under the problem's prefix.  Supplied rows replace the
+    computed ones and force row assembly."""
     fc = eval_interval(tape, problem.center_env())
     if supplied_rows is not None:
-        return PreparedOutput(fc, dict(supplied_rows), None)
-    return PreparedOutput(fc, contribution_rows(tape, problem), affine_coefficients(tape))
-
-
-def row_model(prepared: PreparedOutput, problem: QuantifiedProblem) -> RowModel:
-    """The row model of a prepared expression under the problem's prefix."""
-    if prepared.affine is not None:
-        return _affine_model(*prepared.affine, problem)
+        rows, affine = dict(supplied_rows), None
+    else:
+        rows, affine = contribution_rows(tape, problem), affine_coefficients(tape)
+    if affine is not None:
+        return _affine_model(fc, rows, affine, problem)
     names = [v.name for v in problem.variables]
-    return _mean_value_model(prepared.fc, prepared.rows, problem.normalized_pairs(), names)
-
-
-def assemble_kept(prepared: PreparedOutput, model: RowModel, kept: int) -> ScalarResult:
-    """The outer bound of the model's prefix and the inner box of the kept
-    set.  An affine expression reports no failing pair; its empty exact
-    range empties both bounds, and otherwise inner == outer up to rounding
-    when every existential is kept."""
-    fc, rows = prepared.fc, prepared.rows
-    inner, inner_failed = model.inner(kept)
-    outer, outer_failed = model.outer()
-    if prepared.affine is not None:
-        return ScalarResult(inner, outer, fc, rows, "exact-affine")
-    return ScalarResult(inner, outer, fc, rows, "mean-value", inner_failed, outer_failed)
-
-
-def assemble(prepared: PreparedOutput, problem: QuantifiedProblem) -> ScalarResult:
-    """Bounds of a prepared expression under the problem's prefix: its row
-    model with every existential kept."""
-    model = row_model(prepared, problem)
-    return assemble_kept(prepared, model, model.keep_all)
+    return _mean_value_model(fc, rows, problem.normalized_pairs(), names)
 
 
 def solve_scalar(
@@ -570,4 +560,5 @@ def solve_scalar(
     supplied_rows: Mapping[str, ContributionRow] | None = None,
 ) -> ScalarResult:
     """Bound the quantified range of expr under the problem's prefix."""
-    return assemble(prepare(problem, expr, supplied_rows), problem)
+    model = prepare(problem, expr, supplied_rows)
+    return model.result(model.keep_all)

@@ -11,9 +11,8 @@ and only the variables with pi = j stay existential.  The per-component
 scalar inner bounds on these rewritten prefixes multiply to a guaranteed
 inner box of the vector set.
 
-Each output is prepared once per solve (center value, contribution rows,
-affine form; see scalar.prepare), and its rows are assembled once into a
-scalar.RowModel, the integer form of the scalar assembly.  Component j's
+Each output is prepared once per solve into a scalar.RowModel (see
+scalar.prepare), the integer form of the scalar assembly.  Component j's
 rewritten prefix depends only on the set of existentials j keeps, and the
 model gives the inner box of any kept set directly.  The result reads two
 entries per component: the outer bound (every existential kept, which
@@ -31,13 +30,14 @@ Assignment search:
   * greedy — seed each component with its universal outer-row widths as a
     deficit, then hand out existential variables in decreasing best-row
     order to the component where min(row width, remaining deficit) is
-    largest.  Linear cost, no optimality guarantee.
+    largest.  The widths are the row models' exact integers, in one unit
+    for all components.  Linear cost, no optimality guarantee.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 # eval_interval, affine_coefficients, assemble_bounds, contribution_rows,
@@ -47,17 +47,13 @@ from .exprs import eval_interval
 from .intervals import DivisionByZeroInterval, Interval, MaybeInterval, is_empty
 from .problem import Block, QuantifiedProblem, Quantifier
 from .scalar import (
-    ZERO_ROW,
     ContributionRow,
-    PreparedOutput,
     RowModel,
     affine_coefficients,
     assemble_bounds,
-    assemble_kept,
     contribution_rows,
     exact_affine_range,
     prepare,
-    row_model,
     solve_scalar,
 )
 
@@ -98,7 +94,7 @@ class ComponentResult:
 class VectorResult:
     components: tuple[ComponentResult, ...]
     assignment: dict[str, int]  # existential variable -> component index
-    strategy_used: str  # "exhaustive" or "greedy"
+    strategy_used: str  # "exhaustive", "greedy" or "pinned"
 
     @property
     def inner_empty(self) -> bool:
@@ -129,7 +125,7 @@ def derived_blocks(
 
 
 # ---------------------------------------------------------------------------
-# Prepared outputs and their failures
+# Output failures
 # ---------------------------------------------------------------------------
 
 
@@ -197,41 +193,20 @@ def _branch_and_bound(models: Sequence[RowModel], e: int) -> tuple[int, ...]:
     return best_vec
 
 
-def _greedy_assignment(
-    problem: QuantifiedProblem,
-    prepared: Sequence[PreparedOutput],
-    exist_names: Sequence[str],
-) -> dict[str, int]:
-    universal = [
-        name
-        for block in problem.normalized()
-        if block.quantifier is Quantifier.FORALL
-        for name in block.names
-    ]
-
-    def row_width(p: PreparedOutput, name: str, inner: bool) -> Fraction:
-        row = p.rows.get(name, ZERO_ROW)
-        iv = row.inner if inner else row.outer
-        return Fraction(iv.hi) - Fraction(iv.lo)
-
-    deficit = [
-        sum((row_width(p, u, inner=False) for u in universal), Fraction(0))
-        for p in prepared
-    ]
-    order = sorted(
-        range(len(exist_names)),
-        key=lambda i: max(row_width(p, exist_names[i], inner=True) for p in prepared),
-        reverse=True,
-    )
+def _greedy_assignment(models: Sequence[RowModel], exist_names: Sequence[str]) -> dict[str, int]:
+    """The greedy assignment, in the order it hands the existentials out.
+    Every model's widths are scaled to the lcm of the models' units, so the
+    widths of different outputs compare exactly."""
+    unit = math.lcm(*(model.denom for model in models))
+    widths = [[w * (unit // model.denom) for w in model.inner_widths] for model in models]
+    deficit = [model.universal_width * (unit // model.denom) for model in models]
+    order = sorted(range(len(exist_names)), key=lambda i: max(w[i] for w in widths), reverse=True)
     assignment: dict[str, int] = {}
     for i in order:
-        name = exist_names[i]
         # max keeps the first component of largest gain
-        assignment[name] = best_j = max(
-            range(len(prepared)),
-            key=lambda j: min(row_width(prepared[j], name, inner=True), deficit[j]),
-        )
-        deficit[best_j] -= row_width(prepared[best_j], name, inner=True)
+        best_j = max(range(len(models)), key=lambda j: min(widths[j][i], deficit[j]))
+        assignment[exist_names[i]] = best_j
+        deficit[best_j] -= widths[best_j][i]
     return assignment
 
 
@@ -278,10 +253,9 @@ def solve_vector(
         )
 
     rows = supplied or {}
-    prepared = [
+    models = [
         _named(out.name, prepare, problem, out.expr, rows.get(out.name)) for out in problem.outputs
     ]
-    models = [row_model(p, problem) for p in prepared]
     if pinned is not None:
         assignment = {name: pinned[name] for name in exist_names}
         used = "pinned"
@@ -289,23 +263,23 @@ def solve_vector(
         assignment = {name: 0 for name in exist_names}
         used = "exhaustive"
     elif strategy == "greedy" or count > exhaustive_limit:
-        assignment = _greedy_assignment(problem, prepared, exist_names)
+        assignment = _greedy_assignment(models, exist_names)
         used = "greedy"
     else:
         assignment = dict(zip(exist_names, _branch_and_bound(models, len(exist_names))))
         used = "exhaustive"
 
     components: list[ComponentResult] = []
-    for j, (out, p, model) in enumerate(zip(problem.outputs, prepared, models)):
+    for j, (out, model) in enumerate(zip(problem.outputs, models)):
         kept = sum(1 << i for i, name in enumerate(exist_names) if assignment[name] == j)
-        got = _named(out.name, assemble_kept, p, model, kept)
+        got = _named(out.name, model.result, kept)
         components.append(
             ComponentResult(
                 name=out.name,
                 inner=got.inner,
                 outer=got.outer,
-                center_value=p.fc,
-                rows=p.rows,
+                center_value=got.center_value,
+                rows=got.rows,
                 method=got.method,
                 derived=derived_blocks(problem, j, assignment),
                 inner_failed_pair=got.inner_failed_pair,

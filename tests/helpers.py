@@ -6,9 +6,9 @@ interval product and quotient (for the sign-case kernels), tree-walking
 evaluators built on them and a tree-walking affine fold (for the tape
 sweeps), the alternation check (one-pass and quadratic), the
 bound assembly and the exact affine range summed in Fractions, the inner
-bound of one assembly alone and brute-force assignment search (for the
-integer row model and the solvers), and the affine vertex oracle (for the
-exact affine route).
+bound of one assembly alone, brute-force assignment search and the greedy
+assignment on Fraction row widths (for the integer row model and the
+solvers), and the affine vertex oracle (for the exact affine route).
 
 Everything here is seeded by the caller; the same rng state always yields the
 same problems, so failures reproduce exactly.
@@ -75,7 +75,7 @@ from quantrange.scalar import (
     ZERO_ROW,
     AssembledBounds,
     ContributionRow,
-    PreparedOutput,
+    RowModel,
     ScalarResult,
 )
 from quantrange.vectorsolve import derived_blocks
@@ -1003,8 +1003,9 @@ def oracle_exact_affine_range(
     return const - offset, const + offset
 
 
-def oracle_assemble(prepared: PreparedOutput, problem: QuantifiedProblem) -> ScalarResult:
-    """assemble(prepared, problem) from the Fraction oracles."""
+def oracle_assemble(prepared: RowModel, problem: QuantifiedProblem) -> ScalarResult:
+    """The bounds of a prepared output's center value, rows and affine form
+    under the problem's prefix, from the Fraction oracles."""
     fc, rows = prepared.fc, prepared.rows
     if prepared.affine is not None:
         exact = oracle_exact_affine_range(*prepared.affine, problem)
@@ -1021,7 +1022,7 @@ def oracle_assemble(prepared: PreparedOutput, problem: QuantifiedProblem) -> Sca
 
 
 def oracle_inner(
-    prepared: PreparedOutput, problem: QuantifiedProblem
+    prepared: RowModel, problem: QuantifiedProblem
 ) -> tuple[MaybeInterval, int | None]:
     """oracle_assemble(prepared, problem)'s inner box and failing pair
     without the outer half, which can fail on its own."""
@@ -1033,7 +1034,7 @@ def oracle_inner(
 
 def oracle_exhaustive_assignment(
     problem: QuantifiedProblem,
-    prepared: Sequence[PreparedOutput],
+    prepared: Sequence[RowModel],
     exist_names: Sequence[str],
 ) -> dict[str, int]:
     """Brute-force search over every assignment: a later assignment wins
@@ -1059,6 +1060,54 @@ def oracle_exhaustive_assignment(
             best_vec = vec
     assert best_vec is not None
     return dict(zip(exist_names, best_vec))
+
+
+def oracle_greedy_assignment(
+    problem: QuantifiedProblem,
+    prepared: Sequence[RowModel],
+    exist_names: Sequence[str],
+) -> dict[str, int]:
+    """The greedy assignment from row widths summed in Fractions, in the
+    order it hands the existentials out.  A prepared output's rows are its
+    contribution rows, or for an affine output the exact rows
+    +-|c| * (hi - lo) / 2 of each variable."""
+    specs = {v.name: v for v in problem.variables}
+    universal = [
+        name
+        for block in problem.normalized()
+        if block.quantifier is Quantifier.FORALL
+        for name in block.names
+    ]
+
+    def row_width(p: RowModel, name: str, inner: bool) -> Fraction:
+        if p.affine is not None:
+            domain = specs[name].domain
+            return abs(p.affine[1].get(name, Fraction(0))) * (
+                Fraction(domain.hi) - Fraction(domain.lo)
+            )
+        row = p.rows.get(name, ZERO_ROW)
+        iv = row.inner if inner else row.outer
+        return Fraction(iv.hi) - Fraction(iv.lo)
+
+    deficit = [
+        sum((row_width(p, u, inner=False) for u in universal), Fraction(0))
+        for p in prepared
+    ]
+    order = sorted(
+        range(len(exist_names)),
+        key=lambda i: max(row_width(p, exist_names[i], inner=True) for p in prepared),
+        reverse=True,
+    )
+    assignment: dict[str, int] = {}
+    for i in order:
+        name = exist_names[i]
+        # max keeps the first component of largest gain
+        assignment[name] = best_j = max(
+            range(len(prepared)),
+            key=lambda j: min(row_width(prepared[j], name, inner=True), deficit[j]),
+        )
+        deficit[best_j] -= row_width(prepared[best_j], name, inner=True)
+    return assignment
 
 
 def vertex_oracle_affine(

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 import quantrange.cli as cli_mod
+import quantrange.exprs as exprs_mod
 from quantrange.benchgen import linear_problem, motion_problem
 from quantrange.cli import main
 from quantrange.problemfile import parse_problem, problem_to_json
@@ -125,6 +126,19 @@ class TestSolveJson:
         got = run_json_solve(capsys, path, "--sample", "points=5")["outputs"][0]["sampling"]
         want = run_json_solve(capsys, NONLINEAR, "--sample", "points=5")["outputs"][0]["sampling"]
         assert got == want
+
+    def test_sampling_grid_of_a_domain_wider_than_the_float_range(self, capsys, write_problem):
+        # hi - lo overflows; the middle grid point used to be inf
+        path = write_problem(
+            {
+                "schema": 1,
+                "blocks": [{"quantifier": "exists"}],
+                "variables": [{"name": "x", "block": 0, "domain": [-1e308, 1e308]}],
+                "outputs": [{"name": "g", "expr": "x*0.5"}],
+            }
+        )
+        report = run_json_solve(capsys, path, "--sample", "points=3")
+        assert report["outputs"][0]["sampling"] == [-5e307, 5e307]
 
     def test_json_to_file(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
@@ -241,6 +255,10 @@ class TestInputErrors:
 
     def test_missing_file(self, capsys):
         self.check_exit_3(capsys, ["solve", "/nonexistent/q.json"], "no such file")
+
+    def test_unreadable_path(self, tmp_path, capsys):
+        path = str(tmp_path / ("q" * 5000))
+        self.check_exit_3(capsys, ["solve", path], f"cannot read {path}: File name too long")
 
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -381,6 +399,11 @@ class TestInputErrors:
 
     def test_gen_rejects_k_zero(self, capsys):
         self.check_exit_3(capsys, ["gen", "linear", "0"], "k")
+
+    def test_gen_refuses_text_over_the_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(exprs_mod, "MAX_TEXT", 100)
+        self.check_exit_3(capsys, ["gen", "motion", "10"], "would exceed 100 characters")
+        assert capsys.readouterr().out == ""
 
     def test_bench_rejects_k_zero(self, capsys):
         self.check_exit_3(capsys, ["bench", "motion", "0"], "k")

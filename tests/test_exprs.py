@@ -29,6 +29,7 @@ from quantrange.exprs import (
     SUB,
     VAR,
     MAX_EXPONENT,
+    MAX_TEXT,
     ParseError,
     MissingVariable,
     Tape,
@@ -38,10 +39,12 @@ from quantrange.exprs import (
     eval_point,
     msin_enclosures,
     parse,
+    _text_bound,
     to_text,
 )
 from quantrange.intervals import DivisionByZeroInterval, Interval
-from quantrange.problemfile import load_problem
+from quantrange.problem import Block, Output, QuantifiedProblem, Quantifier, VariableSpec
+from quantrange.problemfile import load_problem, problem_to_json
 from quantrange.scalar import affine_coefficients
 
 from conftest import FIXTURES
@@ -299,7 +302,10 @@ class TestPrinterFuzz:
     @given(_tree_strategy())
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_arbitrary_trees_round_trip(self, tree):
-        assert parse(to_text(compile_expr(tree))) == oracle_tape(tree)
+        tape = compile_expr(tree)
+        text = to_text(tape)
+        assert parse(text) == oracle_tape(tree)
+        assert len(text) <= _text_bound(tape)
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +506,23 @@ class TestDeepTrees:
         tape = compile_expr(tree)
         assert eval_point(tape, {"x": 1.0}) == 2.0**60
         assert eval_interval(tape, {"x": Interval(1.0, 1.0)}) == Interval(2.0**60, 2.0**60)
+
+    def test_printing_a_deep_dag_is_refused_before_building_text(self):
+        # its text would hold 2^60 copies of x; only the size sweep runs
+        builder = TapeBuilder()
+        slot = builder.emit(VAR, "x")
+        for _ in range(60):
+            slot = builder.emit(ADD, slot, slot)
+        tape = builder.tape()
+        with pytest.raises(ValueError, match=f"would exceed {MAX_TEXT} characters"):
+            to_text(tape)
+        problem = QuantifiedProblem(
+            (VariableSpec("x", Interval(0.0, 1.0), 0.5),),
+            (Block(Quantifier.EXISTS, ("x",)),),
+            (Output("f", tape),),
+        )
+        with pytest.raises(ValueError, match="would exceed"):
+            problem_to_json(problem)
 
 
 # ---------------------------------------------------------------------------

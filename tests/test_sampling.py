@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import quantrange.exprs as exprs_mod
 import quantrange.sampling as sampling_mod
@@ -104,6 +106,30 @@ class TestGrids:
     def test_degenerate_domain_is_a_single_point(self):
         got = _grid(Interval(2.0, 2.0), 7)
         assert got == [2.0]
+
+    def test_overflowing_width_keeps_the_points_inside(self):
+        assert _grid(Interval(-1e308, 1e308), 3) == [-1e308, 0.0, 1e308]
+
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(2, 41),
+    )
+    @example(-sys.float_info.max, sys.float_info.max, 41)
+    @example(-sys.float_info.max, -5e-324, 2)
+    @example(-1e308, 1e308, 3)
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_points_are_finite_ordered_and_inside(self, a, b, points):
+        """Over the whole finite range; a grid of finite width is the plain
+        lo + i*step grid, bit for bit."""
+        lo, hi = min(a, b), max(a, b)
+        got = _grid(Interval(lo, hi), points)
+        assert all(math.isfinite(x) and lo <= x <= hi for x in got)
+        assert got == sorted(got)
+        assert len(got) == (1 if lo == hi else points)
+        if lo != hi and math.isfinite(hi - lo):
+            step = (hi - lo) / (points - 1)
+            assert got == [lo] + [lo + i * step for i in range(1, points - 1)] + [hi]
 
 
 class TestEstimateValues:

@@ -11,18 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quantrange import scalar, vectorsolve
-from quantrange.exprs import parse
+from quantrange.exprs import parse, to_text
 from quantrange.intervals import EMPTY, Interval, is_empty
 from quantrange.problem import Block, Output, QuantifiedProblem, Quantifier, VariableSpec
 from quantrange.problemfile import load_problem
-from quantrange.scalar import (
-    ZERO_ROW,
-    ContributionRow,
-    assemble,
-    prepare,
-    row_model,
-    solve_scalar,
-)
+from quantrange.scalar import ZERO_ROW, ContributionRow, prepare, solve_scalar
 from quantrange.vectorsolve import (
     ComponentResult,
     OutputError,
@@ -33,7 +26,13 @@ from quantrange.vectorsolve import (
 )
 
 from conftest import FIXTURES
-from helpers import oracle_assemble, oracle_exhaustive_assignment, oracle_inner, with_blocks
+from helpers import (
+    oracle_assemble,
+    oracle_exhaustive_assignment,
+    oracle_greedy_assignment,
+    oracle_inner,
+    with_blocks,
+)
 
 FA = Quantifier.FORALL
 EX = Quantifier.EXISTS
@@ -219,6 +218,7 @@ class TestStrategySelection:
         p = _many_existentials_problem()
         res = solve_vector(p)  # 2^13 assignments > default limit
         assert res.strategy_used == "greedy"
+        assert res.assignment == {"e2": 0, **{f"e{i}": 1 for i in range(1, 14) if i != 2}}
 
     def test_explicit_exhaustive_over_limit_raises_but_can_be_raised(self):
         p = _many_existentials_problem()
@@ -226,6 +226,19 @@ class TestStrategySelection:
             solve_vector(p, strategy="exhaustive")
         res = solve_vector(p, strategy="exhaustive", exhaustive_limit=8192)
         assert res.strategy_used == "exhaustive"
+
+    def test_greedy_compares_exact_widths(self):
+        """e's inner row is 2*0.3333333333333333 wide in a and 2/3 wide in b.
+        The float contribution rows tie and gave e to a; the exact widths
+        give it to b."""
+        p = QuantifiedProblem(
+            tuple(VariableSpec(n, Interval(-1.0, 1.0), 0.0) for n in ("u", "e")),
+            (_b(FA, "u"), _b(EX, "e")),
+            (Output("a", parse("e*0.3333333333333333 + u")), Output("b", parse("e/3 + u"))),
+        )
+        a, b = (solve_scalar(p, o.expr).rows["e"].inner for o in p.outputs)
+        assert a == b
+        assert solve_vector(p, strategy="greedy").assignment == {"e": 1}
 
     def test_single_output_skips_the_search(self):
         p = QuantifiedProblem(
@@ -306,18 +319,18 @@ def _model_reads(fixture, monkeypatch):
     """The solve of a fixture, the row models it built and the (model,
     kept set) pairs whose bounds it reported."""
     built, reads = [], []
-    original_init, original_read = scalar.RowModel.__init__, vectorsolve.assemble_kept
+    original_init, original_read = scalar.RowModel.__init__, scalar.RowModel.result
 
     def init(self, *args):
         built.append(self)
         original_init(self, *args)
 
-    def read(prepared, model, kept):
+    def read(model, kept):
         reads.append((id(model), kept))
-        return original_read(prepared, model, kept)
+        return original_read(model, kept)
 
     monkeypatch.setattr(scalar.RowModel, "__init__", init)
-    monkeypatch.setattr(vectorsolve, "assemble_kept", read)
+    monkeypatch.setattr(scalar.RowModel, "result", read)
     loaded = load_problem(str(FIXTURES / fixture))
     return solve_vector(loaded.problem, supplied=loaded.supplied), built, reads
 
@@ -385,7 +398,7 @@ def test_a_failing_kept_set_assembly_is_named():
     assert a.outer == Interval(-1e308, 1e308) and a.outer_failed_pair is None
     assert b.inner == Interval(0.0, 0.0)
     with pytest.raises(ValueError, match=r"^interval bounds must be finite"):
-        assemble(prepare(p, p.outputs[0].expr, rows), with_blocks(p, a.derived))
+        solve_scalar(with_blocks(p, a.derived), p.outputs[0].expr, rows)
     res = solve_vector(p, supplied)
     assert res.assignment == {"e": 0}
     assert res.components[0].outer == Interval(-1e308, 1e308)
@@ -529,10 +542,9 @@ _KEPT_SET_CASES = st.one_of(
 
 
 def _models(problem, supplied):
-    """(prepared output, row model) per output."""
+    """The row model of each output."""
     for out in problem.outputs:
-        p = prepare(problem, out.expr, None if supplied is None else supplied[out.name])
-        yield p, row_model(p, problem)
+        yield prepare(problem, out.expr, None if supplied is None else supplied[out.name])
 
 
 def _kept_sets(problem, j):
@@ -558,9 +570,9 @@ def test_integer_scores_match_assembly(case):
     2**-1074) of the inner box that oracle_inner assembles in Fractions on
     the rewritten prefix, bit for bit."""
     problem, supplied = case
-    for j, (p, model) in enumerate(_models(problem, supplied)):
+    for j, model in enumerate(_models(problem, supplied)):
         for kept, rewritten in _kept_sets(problem, j):
-            want, _ = oracle_inner(p, rewritten)
+            want, _ = oracle_inner(model, rewritten)
             if is_empty(want):
                 assert model.score(kept) == (0, 0)
             else:
@@ -571,17 +583,17 @@ def test_integer_scores_match_assembly(case):
 @given(_KEPT_SET_CASES)
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_row_model_matches_the_fraction_assembly(case):
-    """assemble, the model with every existential kept, reports the outer
+    """The model's result with every existential kept reports the outer
     bound and both failing pairs of the Fraction assembly (or fails as it
     does), and the inner box and failing pair of every kept set match the
     Fraction assembly on the rewritten prefix."""
     problem, supplied = case
-    for j, (p, model) in enumerate(_models(problem, supplied)):
-        assert _outcome(assemble, p, problem) == _outcome(oracle_assemble, p, problem)
+    for j, model in enumerate(_models(problem, supplied)):
+        assert _outcome(model.result, model.keep_all) == _outcome(oracle_assemble, model, problem)
         for kept, rewritten in _kept_sets(problem, j):
             box, failed = model.inner(kept)
-            want = oracle_inner(p, rewritten)
-            assert repr((box, failed if p.affine is None else None)) == repr(want)
+            want = oracle_inner(model, rewritten)
+            assert repr((box, failed if model.affine is None else None)) == repr(want)
 
 
 @given(_KEPT_SET_CASES)
@@ -591,12 +603,47 @@ def test_score_is_monotone_in_the_kept_set(case):
     property that makes the branch-and-bound bound admissible."""
     problem, supplied = case
     e = len(existential_order(problem))
-    for p, model in _models(problem, supplied):
+    for model in _models(problem, supplied):
         for kept in range(1 << e):
             n, w = model.score(kept)
             for i in range(e):
                 more = model.score(kept | 1 << i)
                 assert more[0] >= n and more[1] >= w
+
+
+@st.composite
+def _mixed_problems(draw):
+    """Affine outputs as above, some of them made mean-value by a square
+    term, so that exact widths in units such as 1/21 meet float widths in
+    units of 2**-1074."""
+    problem, _ = draw(_affine_problems(max_exist=(8, 6)))
+    names = [v.name for v in problem.variables]
+    outputs = []
+    for out in problem.outputs:
+        if names and draw(st.booleans()):
+            v = draw(st.sampled_from(names))
+            out = Output(out.name, parse(f"{to_text(out.expr)} + {v}*{v}/3"))
+        outputs.append(out)
+    return QuantifiedProblem(problem.variables, problem.blocks, tuple(outputs)), None
+
+
+@given(
+    st.one_of(
+        _supplied_row_problems(palette=_WIDE_ROWS, centers=(0.0, -0.5, 5e-324, 1e308, -1e308)),
+        _mixed_problems(),
+    )
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_greedy_matches_the_fraction_greedy(case):
+    """The greedy assignment on the models' integers hands out the
+    existentials in the order, and to the components, that the greedy on
+    Fraction row widths does."""
+    problem, supplied = case
+    models = list(_models(problem, supplied))
+    names = existential_order(problem)
+    got = vectorsolve._greedy_assignment(models, names)
+    want = oracle_greedy_assignment(problem, models, names)
+    assert list(got.items()) == list(want.items())
 
 
 @given(_affine_problems())
