@@ -66,7 +66,6 @@ from .vectorsolve import (
     VectorResult,
     derived_blocks,
     existential_order,
-    inner_for_assignment,
     solve_vector,
 )
 
@@ -104,7 +103,6 @@ __all__ = [
     "VectorResult",
     "existential_order",
     "derived_blocks",
-    "inner_for_assignment",
     "solve_vector",
     "EmptyEstimate",
     "sampling_estimate",

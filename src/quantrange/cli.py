@@ -212,6 +212,15 @@ def _print_table(report: dict, stream) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _write_file(path: str, text: str) -> None:
+    """Write text to the file at path; a path that cannot be written is an input error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}")
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     t_start = time.perf_counter()
     try:
@@ -280,8 +289,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if args.json_out == "-":
             print(text)
         else:
-            with open(args.json_out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+            _write_file(args.json_out, text + "\n")
     else:
         _print_table(report, sys.stdout)
     return 0
@@ -336,8 +344,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     writer.writerows(rows)
     text = buffer.getvalue()
     if args.csv_out is not None:
-        with open(args.csv_out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_file(args.csv_out, text)
     else:
         sys.stdout.write(text)
     return 0

@@ -267,12 +267,6 @@ class Interval:
         """Maximum absolute value over the interval."""
         return max(abs(self.lo), abs(self.hi))
 
-    def __contains__(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-    def contains_interval(self, other: Interval) -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def __repr__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 
@@ -289,9 +283,6 @@ class EmptyInterval:
 
     def __repr__(self) -> str:
         return "EMPTY"
-
-    def __contains__(self, x: float) -> bool:
-        return False
 
 
 EMPTY = EmptyInterval()

@@ -142,9 +142,6 @@ class QuantifiedProblem:
     def domains(self) -> dict[str, Interval]:
         return {v.name: v.domain for v in self.variables}
 
-    def centers(self) -> dict[str, float]:
-        return {v.name: v.center for v in self.variables}
-
     def center_env(self) -> dict[str, Interval]:
         """Degenerate point box at the linearization center."""
         return {v.name: Interval(v.center, v.center) for v in self.variables}

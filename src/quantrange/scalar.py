@@ -26,7 +26,8 @@ mean-value range enclosure f(c) + sum of all outer rows.
 Affine expressions take an exact path instead: after rescaling each domain
 to [-1, 1], per-block coefficient norms decide emptiness and give the
 quantified range exactly, with the same alternation condition.  For affine
-f the inner and outer results coincide.
+f the inner and outer results coincide, and neither the center value nor
+the gradient is computed.
 
 Both routes are one integer assembly (RowModel): every endpoint is an
 exact multiple of a common unit, so the sums and the validity conditions
@@ -34,10 +35,10 @@ are decided exactly, and final endpoints are rounded inward (inner) or
 outward (outer).  The model also gives the inner box of any kept set: the
 prefix rewrite of a vector solve.
 
-`prepare` evaluates an expression once (center value, rows, affine form)
-and returns its RowModel under the problem's prefix; the model's `result`
-reports the bounds of any kept set.  `solve_scalar` is `prepare`, then
-`result` with every existential kept.
+`prepare` folds an expression's affine form, or else evaluates its center
+value and rows, once, and returns its RowModel under the problem's prefix;
+the model's `result` reports the bounds of any kept set.  `solve_scalar`
+is `prepare`, then `result` with every existential kept.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ from .problem import Block, QuantifiedProblem
 __all__ = [
     "ContributionRow",
     "ZERO_ROW",
-    "AssembledBounds",
     "ScalarResult",
     "RowModel",
     "contribution_rows",
@@ -180,21 +180,11 @@ def _first_negative_suffix(slack: Sequence[int]) -> int | None:
 
 
 @dataclass(slots=True)
-class AssembledBounds:
-    inner: MaybeInterval
-    outer: Interval
-    inner_failed_pair: int | None
-    outer_failed_pair: int | None
-
-
-@dataclass(slots=True)
 class ScalarResult:
     """Inner/outer quantified range bounds for one scalar expression."""
 
     inner: MaybeInterval
     outer: MaybeInterval
-    center_value: Interval
-    rows: dict[str, ContributionRow]
     method: str  # "exact-affine" or "mean-value"
     inner_failed_pair: int | None = None
     outer_failed_pair: int | None = None
@@ -204,15 +194,12 @@ class RowModel:
     """The assembled bounds of one output, for every kept set, from integer
     additions.
 
-    The model keeps, for the report, its output's center value fc, rows and
-    exact affine form (None when not affine or when the rows were supplied).
-
     A kept set (bit i of a mask for the i-th existential of the prefix)
     names the existentials that stay existential; the others are demoted
     to the universal block of their pair, as in a vector solve's rewritten
     prefix.  Every quantity is an integer count of 1/denom: 2**-1074 for
-    contribution rows, the lcm of the exact terms' denominators for an
-    affine output.
+    contribution rows, 2**-1075 over the lcm of the constant's and the
+    coefficients' denominators for an affine output.
 
     Inner box.  The model starts from the prefix where every existential
     is demoted: lo = fc.hi + the sum of every outer hi, hi = fc.lo + the
@@ -236,33 +223,32 @@ class RowModel:
     Outer bound, with every existential kept: universal rows are credited
     their inner rows and existential rows charged their outer rows, under
     the same conditions with the roles of the widths swapped.  When one
-    fails, the bound falls back to fc + the sum of every outer row (the
-    mean-value enclosure), or is empty for an affine output.
+    fails, the bound falls back to fc + the sum of the outer rows of
+    fallback_names (the mean-value enclosure).  An exact model, one built
+    without fallback names, reports the empty set instead, and no failing
+    pair.
 
-    An affine output fits the same model with fc = [const, const] and, for
-    each variable, il = ol = -r and ih = oh = r, where const is the value at
-    the domain midpoints and r = |c| * (hi - lo) / 2: the sums are then the
-    exact range const -+ the alternating norm sums, and the conditions are
-    the norm conditions, doubled.
+    An affine output fits the same model exactly, with fc = [const, const]
+    and, for each variable, il = ol = -r and ih = oh = r, where const is the
+    value at the domain midpoints and r = |c| * (hi - lo) / 2: the sums are
+    then the exact range const -+ the alternating norm sums, and the
+    conditions are the norm conditions, doubled.
     """
 
     __slots__ = (
-        "fc", "rows", "affine", "denom", "lo", "hi", "slack", "deltas", "pair_masks",
+        "exact", "denom", "lo", "hi", "slack", "deltas", "pair_masks",
         "outer_sums", "outer_slack", "fallback", "inner_widths", "universal_width",
     )
 
     def __init__(
         self,
-        fc: Interval | None,
-        rows: dict[str, ContributionRow],
-        affine: _AffinePair | None,
         denom: int,
         scaled_fc: tuple[int, int],
         scaled: Mapping[str, _ScaledRow],
         pairs: Sequence[tuple[Block, Block]],
         fallback_names: Sequence[str] | None,
     ) -> None:
-        self.fc, self.rows, self.affine = fc, rows, affine
+        self.exact = fallback_names is None
         fl, fh = scaled_fc
         self.denom = denom
         self.lo, self.hi = fh, fl
@@ -292,7 +278,7 @@ class RowModel:
             self.pair_masks.append(mask)
         self.outer_sums = out_lo, out_hi
         self.fallback = None
-        if fallback_names is not None:
+        if not self.exact:
             every = [scaled.get(v, _ZERO_SCALED) for v in fallback_names]
             self.fallback = fl + sum(r[2] for r in every), fh + sum(r[3] for r in every)
 
@@ -335,7 +321,7 @@ class RowModel:
         failed = _first_negative_suffix(self.outer_slack)
         if failed is None:
             lo, hi = self.outer_sums
-        elif self.fallback is None:
+        elif self.exact:
             return EMPTY, failed + 1
         else:
             lo, hi = self.fallback
@@ -346,18 +332,17 @@ class RowModel:
 
     def result(self, kept: int) -> ScalarResult:
         """The outer bound of the model's prefix and the inner box of the
-        kept set.  An affine expression reports no failing pair."""
+        kept set.  An exact model reports no failing pair."""
         inner, inner_failed = self.inner(kept)
         outer, outer_failed = self.outer()
-        if self.affine is not None:
-            inner_failed = outer_failed = None
-        method = "mean-value" if self.affine is None else "exact-affine"
-        return ScalarResult(inner, outer, self.fc, self.rows, method, inner_failed, outer_failed)
+        if self.exact:
+            return ScalarResult(inner, outer, "exact-affine")
+        return ScalarResult(inner, outer, "mean-value", inner_failed, outer_failed)
 
 
 def _mean_value_model(
     fc: Interval,
-    rows: dict[str, ContributionRow],
+    rows: Mapping[str, ContributionRow],
     pairs: Sequence[tuple[Block, Block]],
     all_names: Sequence[str],
 ) -> RowModel:
@@ -366,7 +351,7 @@ def _mean_value_model(
         for name, r in rows.items()
     }
     fc_scaled = _scaled_float(fc.lo), _scaled_float(fc.hi)
-    return RowModel(fc, rows, None, _FLOAT_DENOM, fc_scaled, scaled, pairs, all_names)
+    return RowModel(_FLOAT_DENOM, fc_scaled, scaled, pairs, all_names)
 
 
 def assemble_bounds(
@@ -374,12 +359,10 @@ def assemble_bounds(
     rows: Mapping[str, ContributionRow],
     pairs: Sequence[tuple[Block, Block]],
     all_names: Sequence[str],
-) -> AssembledBounds:
+) -> ScalarResult:
     """Pairwise inner/outer assembly from contribution rows (exact)."""
     model = _mean_value_model(fc, rows, pairs, all_names)
-    inner, inner_failed = model.inner(model.keep_all)
-    outer, outer_failed = model.outer()
-    return AssembledBounds(inner, outer, inner_failed, outer_failed)
+    return model.result(model.keep_all)
 
 
 # ---------------------------------------------------------------------------
@@ -486,28 +469,27 @@ def _scaled(pair: _AffinePair, factor: Fraction) -> _AffinePair | None:
     return c, lin
 
 
-def _affine_model(
-    fc: Interval | None,
-    rows: dict[str, ContributionRow],
-    affine: _AffinePair,
-    problem: QuantifiedProblem,
-) -> RowModel:
-    """The row model of affine = (const, coeffs): each domain is rescaled
-    to [-1, 1] around its midpoint, and variable v gets the row [-r, r] for
-    both inner and outer, r = |coeffs[v]| * radius."""
+def _affine_model(affine: _AffinePair, problem: QuantifiedProblem) -> RowModel:
+    """The exact row model of affine = (const, coeffs): each domain is
+    rescaled to [-1, 1] around its midpoint, and variable v gets the row
+    [-r, r] for both inner and outer, r = |coeffs[v]| * (hi - lo) / 2.
+
+    With q the lcm of the denominators, the unit is 1 / (q * 2**1075): an
+    endpoint is an integer count of 2**-1074 (_scaled_float), so each term
+    c * (hi + lo) / 2 and each radius is an integer count of the unit."""
     const, coeffs = affine
-    radius: dict[str, Fraction] = {}
+    q = math.lcm(const.denominator, *(c.denominator for c in coeffs.values()))
+    point = const.numerator * (q // const.denominator) << 1075
+    scaled: dict[str, _ScaledRow] = {}
     for spec in problem.variables:
-        c = coeffs.get(spec.name, Fraction(0))
-        lo, hi = Fraction(spec.domain.lo), Fraction(spec.domain.hi)
-        const += c * (hi + lo) / 2
-        radius[spec.name] = abs(c) * (hi - lo) / 2
-    denom = math.lcm(const.denominator, *(r.denominator for r in radius.values()))
-    units = {name: r.numerator * (denom // r.denominator) for name, r in radius.items()}
-    scaled = {name: (-n, n, -n, n) for name, n in units.items()}
-    point = const.numerator * (denom // const.denominator)
-    pairs = problem.normalized_pairs()
-    return RowModel(fc, rows, affine, denom, (point, point), scaled, pairs, None)
+        c = coeffs.get(spec.name)
+        if c:
+            n = c.numerator * (q // c.denominator)
+            lo, hi = _scaled_float(spec.domain.lo), _scaled_float(spec.domain.hi)
+            point += n * (hi + lo)
+            r = abs(n) * (hi - lo)
+            scaled[spec.name] = (-r, r, -r, r)
+    return RowModel(q << 1075, (point, point), scaled, problem.normalized_pairs(), None)
 
 
 def exact_affine_range(
@@ -523,7 +505,7 @@ def exact_affine_range(
     offset by the signed alternating norm sums, valid precisely when every
     universal norm is covered by the existential norms that follow it.
     """
-    model = _affine_model(None, {}, (delta0, coeffs), problem)
+    model = _affine_model((delta0, coeffs), problem)
     if _first_negative_suffix(model.outer_slack) is not None:
         return None
     lo, hi = model.outer_sums
@@ -540,16 +522,21 @@ def prepare(
     tape: Tape,
     supplied_rows: Mapping[str, ContributionRow] | None = None,
 ) -> RowModel:
-    """Evaluate the tape over the problem's variables once and return its
-    row model under the problem's prefix.  Supplied rows replace the
-    computed ones and force row assembly."""
+    """The tape's row model under the problem's prefix.
+
+    An affine tape gets the exact model of its folded coefficients.  Its
+    interval value over the box is evaluated and discarded, so that a tape
+    whose evaluation fails there (a divisor interval containing zero under
+    a zero power, an intermediate overflow) still fails.  Any other tape is
+    evaluated at the center and gets its contribution rows, which supplied
+    rows replace; supplied rows also force row assembly."""
+    if supplied_rows is None:
+        affine = affine_coefficients(tape)
+        if affine is not None:
+            eval_interval(tape, problem.domains())
+            return _affine_model(affine, problem)
     fc = eval_interval(tape, problem.center_env())
-    if supplied_rows is not None:
-        rows, affine = dict(supplied_rows), None
-    else:
-        rows, affine = contribution_rows(tape, problem), affine_coefficients(tape)
-    if affine is not None:
-        return _affine_model(fc, rows, affine, problem)
+    rows = contribution_rows(tape, problem) if supplied_rows is None else supplied_rows
     names = [v.name for v in problem.variables]
     return _mean_value_model(fc, rows, problem.normalized_pairs(), names)
 

@@ -44,7 +44,7 @@ from typing import Callable, Mapping, Sequence
 # exact_affine_range and solve_scalar are not called here: perfbench/spans.py
 # traces them under these names and aborts when one is missing.
 from .exprs import eval_interval
-from .intervals import DivisionByZeroInterval, Interval, MaybeInterval, is_empty
+from .intervals import DivisionByZeroInterval, MaybeInterval, is_empty
 from .problem import Block, QuantifiedProblem, Quantifier
 from .scalar import (
     ContributionRow,
@@ -64,7 +64,6 @@ __all__ = [
     "VectorResult",
     "existential_order",
     "derived_blocks",
-    "inner_for_assignment",
     "solve_vector",
 ]
 
@@ -82,8 +81,6 @@ class ComponentResult:
     name: str
     inner: MaybeInterval
     outer: MaybeInterval
-    center_value: Interval
-    rows: dict[str, ContributionRow]
     method: str
     derived: tuple[Block, ...]
     inner_failed_pair: int | None
@@ -278,8 +275,6 @@ def solve_vector(
                 name=out.name,
                 inner=got.inner,
                 outer=got.outer,
-                center_value=got.center_value,
-                rows=got.rows,
                 method=got.method,
                 derived=derived_blocks(problem, j, assignment),
                 inner_failed_pair=got.inner_failed_pair,
@@ -287,12 +282,3 @@ def solve_vector(
             )
         )
     return VectorResult(tuple(components), assignment, used)
-
-
-def inner_for_assignment(
-    problem: QuantifiedProblem,
-    assignment: Mapping[str, int],
-    supplied: SuppliedRows | None = None,
-) -> tuple[MaybeInterval, ...]:
-    """Per-component inner intervals under an existential assignment, checked like a pinned one."""
-    return tuple(c.inner for c in solve_vector(problem, supplied, pinned=assignment).components)

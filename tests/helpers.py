@@ -8,7 +8,8 @@ sweeps), the alternation check (one-pass and quadratic), the
 bound assembly and the exact affine range summed in Fractions, the inner
 bound of one assembly alone, brute-force assignment search and the greedy
 assignment on Fraction row widths (for the integer row model and the
-solvers), and the affine vertex oracle (for the exact affine route).
+solvers), the affine vertex oracle (for the exact affine route), and
+the interval containment test and center view that the tests read.
 
 Everything here is seeded by the caller; the same rng state always yields the
 same problems, so failures reproduce exactly.
@@ -73,10 +74,9 @@ from quantrange.problem import (
 from quantrange.sampling import _grid, sampling_estimate
 from quantrange.scalar import (
     ZERO_ROW,
-    AssembledBounds,
     ContributionRow,
-    RowModel,
     ScalarResult,
+    contribution_rows,
 )
 from quantrange.vectorsolve import derived_blocks
 
@@ -478,6 +478,21 @@ def oracle_parse(text: str) -> Expr:
 def with_blocks(problem: QuantifiedProblem, blocks: Iterable[Block]) -> QuantifiedProblem:
     """The problem under another quantifier prefix."""
     return QuantifiedProblem(problem.variables, tuple(blocks), problem.outputs)
+
+
+def centers(problem: QuantifiedProblem) -> dict[str, float]:
+    """Each variable's linearization center, by name."""
+    return {v.name: v.center for v in problem.variables}
+
+
+def contains(outer: MaybeInterval, inner: float | MaybeInterval) -> bool:
+    """Whether outer holds the point or the interval inner; EMPTY holds no
+    point and lies inside every interval."""
+    if isinstance(inner, (int, float)):
+        return not is_empty(outer) and outer.lo <= inner <= outer.hi
+    if is_empty(inner):
+        return True
+    return not is_empty(outer) and outer.lo <= inner.lo and inner.hi <= outer.hi
 
 
 def dyadic(rng: random.Random, denom: int, lo: int, hi: int) -> float:
@@ -932,7 +947,7 @@ def _inward(lo: Fraction, hi: Fraction) -> MaybeInterval:
 def oracle_inner_bounds(
     fc: Interval, rows: Mapping[str, ContributionRow], pairs: Sequence[tuple[Block, Block]]
 ) -> tuple[MaybeInterval, int | None]:
-    """The inner half of assemble_bounds in Fractions: the box and the
+    """The inner half of the row assembly in Fractions: the box and the
     first failing pair."""
     fa = [_oracle_block_sums(rows, p[0]) for p in pairs]  # universal blocks
     ex = [_oracle_block_sums(rows, p[1]) for p in pairs]  # existential blocks
@@ -952,7 +967,7 @@ def oracle_assemble_bounds(
     rows: Mapping[str, ContributionRow],
     pairs: Sequence[tuple[Block, Block]],
     all_names: Sequence[str],
-) -> AssembledBounds:
+) -> ScalarResult:
     """Pairwise inner/outer assembly from contribution rows, summed in
     Fractions block by block."""
     fl, fh = Fraction(fc.lo), Fraction(fc.hi)
@@ -973,7 +988,7 @@ def oracle_assemble_bounds(
         outer_lo = fl + sum((Fraction(rows.get(n, ZERO_ROW).outer.lo) for n in all_names), Fraction(0))
         outer_hi = fh + sum((Fraction(rows.get(n, ZERO_ROW).outer.hi) for n in all_names), Fraction(0))
     outer = Interval(frac_to_float_down(outer_lo), frac_to_float_up(outer_hi))
-    return AssembledBounds(inner, outer, inner_failed, outer_failed)
+    return ScalarResult(inner, outer, "mean-value", inner_failed, outer_failed)
 
 
 def oracle_exact_affine_range(
@@ -1003,26 +1018,47 @@ def oracle_exact_affine_range(
     return const - offset, const + offset
 
 
-def oracle_assemble(prepared: RowModel, problem: QuantifiedProblem) -> ScalarResult:
-    """The bounds of a prepared output's center value, rows and affine form
-    under the problem's prefix, from the Fraction oracles."""
-    fc, rows = prepared.fc, prepared.rows
+@dataclass(frozen=True, slots=True)
+class OracleOutput:
+    """What the oracles read of one output: its exact affine form, or else
+    (affine None) its center value and its contribution rows."""
+
+    affine: _AffinePair | None
+    fc: Interval | None = None
+    rows: Mapping[str, ContributionRow] | None = None
+
+
+def oracle_output(
+    problem: QuantifiedProblem, tape: Tape, supplied_rows: Mapping[str, ContributionRow] | None = None
+) -> OracleOutput:
+    """The tape's affine form (tree fold), or its center value (tree walk)
+    and rows; supplied rows replace the computed ones and leave the affine
+    form out, as in scalar.prepare."""
+    tree = tree_of(tape)
+    affine = None if supplied_rows is not None else oracle_affine_coefficients(tree)
+    if affine is not None:
+        return OracleOutput(affine)
+    fc = oracle_eval_interval(tree, problem.center_env())
+    rows = contribution_rows(tape, problem) if supplied_rows is None else supplied_rows
+    return OracleOutput(None, fc, rows)
+
+
+def oracle_assemble(prepared: OracleOutput, problem: QuantifiedProblem) -> ScalarResult:
+    """The bounds of an output's affine form, or of its center value and
+    rows, under the problem's prefix, from the Fraction oracles."""
     if prepared.affine is not None:
         exact = oracle_exact_affine_range(*prepared.affine, problem)
         if exact is None:
-            return ScalarResult(EMPTY, EMPTY, fc, rows, "exact-affine")
+            return ScalarResult(EMPTY, EMPTY, "exact-affine")
         lo, hi = exact
         outer = Interval(frac_to_float_down(lo), frac_to_float_up(hi))
-        return ScalarResult(_inward(lo, hi), outer, fc, rows, "exact-affine")
+        return ScalarResult(_inward(lo, hi), outer, "exact-affine")
     names = [v.name for v in problem.variables]
-    got = oracle_assemble_bounds(fc, rows, problem.normalized_pairs(), names)
-    return ScalarResult(
-        got.inner, got.outer, fc, rows, "mean-value", got.inner_failed_pair, got.outer_failed_pair
-    )
+    return oracle_assemble_bounds(prepared.fc, prepared.rows, problem.normalized_pairs(), names)
 
 
 def oracle_inner(
-    prepared: RowModel, problem: QuantifiedProblem
+    prepared: OracleOutput, problem: QuantifiedProblem
 ) -> tuple[MaybeInterval, int | None]:
     """oracle_assemble(prepared, problem)'s inner box and failing pair
     without the outer half, which can fail on its own."""
@@ -1034,7 +1070,7 @@ def oracle_inner(
 
 def oracle_exhaustive_assignment(
     problem: QuantifiedProblem,
-    prepared: Sequence[RowModel],
+    prepared: Sequence[OracleOutput],
     exist_names: Sequence[str],
 ) -> dict[str, int]:
     """Brute-force search over every assignment: a later assignment wins
@@ -1064,7 +1100,7 @@ def oracle_exhaustive_assignment(
 
 def oracle_greedy_assignment(
     problem: QuantifiedProblem,
-    prepared: Sequence[RowModel],
+    prepared: Sequence[OracleOutput],
     exist_names: Sequence[str],
 ) -> dict[str, int]:
     """The greedy assignment from row widths summed in Fractions, in the
@@ -1079,7 +1115,7 @@ def oracle_greedy_assignment(
         for name in block.names
     ]
 
-    def row_width(p: RowModel, name: str, inner: bool) -> Fraction:
+    def row_width(p: OracleOutput, name: str, inner: bool) -> Fraction:
         if p.affine is not None:
             domain = specs[name].domain
             return abs(p.affine[1].get(name, Fraction(0))) * (

@@ -13,6 +13,8 @@ from quantrange.intervals import Interval
 from quantrange.problem import Output, QuantifiedProblem, Quantifier, VariableSpec
 from quantrange.scalar import affine_coefficients, solve_scalar
 
+from helpers import contains
+
 FA = Quantifier.FORALL
 EX = Quantifier.EXISTS
 
@@ -137,7 +139,7 @@ class TestMotionFamily:
         p = motion_problem(k)
         res = solve_scalar(p, p.outputs[0].expr)
         assert res.inner_failed_pair is None
-        assert res.outer.contains_interval(res.inner)
+        assert contains(res.outer, res.inner)
 
 
 @pytest.mark.parametrize(

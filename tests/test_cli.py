@@ -260,6 +260,20 @@ class TestInputErrors:
         path = str(tmp_path / ("q" * 5000))
         self.check_exit_3(capsys, ["solve", path], f"cannot read {path}: File name too long")
 
+    def test_unwritable_json_report(self, capsys):
+        out = "/nonexistent/dir/out.json"
+        err = self.check_exit_3(
+            capsys, ["solve", LINEAR_SYSTEM, "--json", out], f"cannot write {out}: No such file"
+        )
+        assert "Traceback" not in err
+
+    def test_unwritable_csv_table(self, tmp_path, capsys):
+        out = str(tmp_path)  # a directory
+        err = self.check_exit_3(
+            capsys, ["bench", "linear", "2", "--csv", out], f"cannot write {out}: Is a directory"
+        )
+        assert "Traceback" not in err
+
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{oops", encoding="utf-8")

@@ -26,6 +26,7 @@ from quantrange.cli import main
 from conftest import FIXTURES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+INPUTS = GOLDEN / "inputs"  # problem files that are not fixtures
 
 FIXTURE_FILES = (
     "dubbins_flow.json",
@@ -36,14 +37,18 @@ FIXTURE_FILES = (
 )
 
 # golden file name -> (problem source, extra solve arguments); a source is a
-# fixture file or a `gen` command line
-CASES: dict[str, tuple[str | tuple[str, ...], tuple[str, ...]]] = {
+# fixture file, a file under golden/inputs or a `gen` command line
+CASES: dict[str, tuple[str | Path | tuple[str, ...], tuple[str, ...]]] = {
     **{name: (name, ()) for name in FIXTURE_FILES},
     "dubbins_joint.greedy.json": ("dubbins_joint.json", ("--pi", "greedy")),
     "linear_system.greedy.json": ("linear_system.json", ("--pi", "greedy")),
     "nonlinear_scalar.points9.json": ("nonlinear_scalar.json", ("--sample", "points=9")),
     "gen_linear_50.json": (("gen", "linear", "50"), ()),
     "gen_motion_10.json": (("gen", "motion", "10"), ()),
+    # affine outputs with thirds, sevenths and tenths under forall-exists-forall-exists,
+    # on off-grid domains
+    "affine_offgrid.json": (INPUTS / "affine_offgrid.json", ()),
+    "affine_offgrid.greedy.json": (INPUTS / "affine_offgrid.json", ("--pi", "greedy")),
 }
 
 
@@ -63,7 +68,7 @@ def report_text(case: str, workdir: Path) -> str:
         path = workdir / f"{'_'.join(source)}.json"
         path.write_text(_run(list(source)), encoding="utf-8")
     else:
-        path = FIXTURES / source
+        path = FIXTURES / source  # an absolute Path stays as it is
     report = json.loads(_run(["solve", str(path), *extra, "--json", "-"]))
     del report["timings"]
     return json.dumps(report, indent=2) + "\n"

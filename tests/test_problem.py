@@ -17,7 +17,7 @@ from quantrange.problem import (
     normalize_blocks,
 )
 
-from helpers import with_blocks
+from helpers import centers, with_blocks
 
 FA = Quantifier.FORALL
 EX = Quantifier.EXISTS
@@ -152,7 +152,7 @@ class TestViews:
     def test_lookup_and_dict_views(self):
         p = _problem()
         assert p.domains() == {"x": Interval(-1.0, 1.0), "y": Interval(0.0, 2.0)}
-        assert p.centers() == {"x": 0.0, "y": 1.0}
+        assert centers(p) == {"x": 0.0, "y": 1.0}
         assert p.center_env() == {"x": Interval(0.0, 0.0), "y": Interval(1.0, 1.0)}
 
     def test_normalized_pairs(self):

@@ -20,6 +20,7 @@ from quantrange.problemfile import (
 )
 
 from conftest import FIXTURES
+from helpers import centers
 
 
 def base_doc():
@@ -53,7 +54,7 @@ class TestHappyPath:
 
     def test_center_defaults_to_domain_midpoint(self):
         loaded = parse_problem(base_doc())
-        assert loaded.problem.centers() == {"x": 0.0, "y": 1.0}
+        assert centers(loaded.problem) == {"x": 0.0, "y": 1.0}
 
     @pytest.mark.parametrize(
         "domain, center",
@@ -62,7 +63,7 @@ class TestHappyPath:
     def test_default_center_of_a_domain_whose_bound_sum_overflows(self, domain, center):
         doc = base_doc()
         doc["variables"][0]["domain"] = domain
-        assert parse_problem(doc).problem.centers()["x"] == center
+        assert centers(parse_problem(doc).problem)["x"] == center
 
     @pytest.mark.parametrize(
         "name",

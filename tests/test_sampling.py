@@ -29,6 +29,7 @@ from quantrange.vectorsolve import solve_vector
 
 from conftest import FIXTURES
 from helpers import (
+    contains,
     make_affine_problem,
     make_random_problem,
     oracle_sampling_estimate,
@@ -171,8 +172,8 @@ class TestEstimateValues:
         est = {
             k: sampling_estimate(p, k)[0] for k in (2, 3, 5)
         }
-        assert est[5].contains_interval(est[3])
-        assert est[3].contains_interval(est[2])
+        assert contains(est[5], est[3])
+        assert contains(est[3], est[2])
 
     def test_universal_refinement_shrinks_the_estimate(self):
         p = _problem(
@@ -183,8 +184,8 @@ class TestEstimateValues:
         est = {
             k: sampling_estimate(p, k)[0] for k in (3, 5, 9)
         }
-        assert est[3].contains_interval(est[5])
-        assert est[5].contains_interval(est[9])
+        assert contains(est[3], est[5])
+        assert contains(est[5], est[9])
 
     def test_multi_output_estimates_are_per_output(self):
         p = QuantifiedProblem(

@@ -1,5 +1,5 @@
 """Scalar quantified range bounding: contribution rows, pairwise assembly,
-and the exact affine path.
+the exact affine path and the route prepare takes to them.
 
 Fixture value pins are bit-exact regression anchors computed once from the
 implementation and cross-checked by hand where tractable.
@@ -16,13 +16,12 @@ from hypothesis import given, settings, strategies as st
 
 from quantrange import scalar
 from quantrange.benchgen import linear_problem
-from quantrange.exprs import parse
+from quantrange.exprs import eval_grad, eval_interval, parse
 from quantrange.intervals import EMPTY, Interval, is_empty
 from quantrange.problem import Block, Output, QuantifiedProblem, Quantifier, VariableSpec
 from quantrange.problemfile import load_problem
 from quantrange.scalar import (
     ZERO_ROW,
-    AssembledBounds,
     ContributionRow,
     affine_coefficients,
     assemble_bounds,
@@ -33,7 +32,15 @@ from quantrange.scalar import (
 )
 
 from conftest import FIXTURES
-from helpers import oracle_first_failing_pair, oracle_first_failing_pair_one_pass
+from quantrange.vectorsolve import OutputError, solve_vector
+
+from helpers import (
+    oracle_assemble,
+    oracle_exact_affine_range,
+    oracle_first_failing_pair,
+    oracle_first_failing_pair_one_pass,
+    oracle_output,
+)
 
 FA = Quantifier.FORALL
 EX = Quantifier.EXISTS
@@ -114,6 +121,69 @@ class TestContributionRows:
         )
         rows = contribution_rows(p.outputs[0].expr, p)
         assert rows["z"] == ZERO_ROW
+
+
+# Endpoints whose differences are rarely floats: tenths, values far apart
+# in magnitude and subnormals.
+_ENDPOINTS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-17, -1e-17, 0.1, 0.3, -0.7, 1.0, 3.0, 1e16, -1e100]
+) | st.floats(-1e100, 1e100)
+
+_ROW_EXPRS = ("x", "-x", "3*x", "x/7 + y", "x*x", "x*y", "sin(x) - y*y", "(x + 0.1)^3")
+
+
+def _center(draw, lo, hi):
+    """A center anywhere in [lo, hi] (-0.0 and 0.0 bound a point domain)."""
+    return lo if lo == hi else draw(st.floats(lo, hi))
+
+
+@st.composite
+def _row_problems(draw):
+    """A tape over x and y on float domains, with centers drawn anywhere in
+    them, so that c - lo and hi - c are seldom floats."""
+    specs = []
+    for name in ("x", "y"):
+        lo, hi = sorted((draw(_ENDPOINTS), draw(_ENDPOINTS)))
+        specs.append((name, lo, hi, _center(draw, lo, hi)))
+    return _simple_problem(draw(st.sampled_from(_ROW_EXPRS)), specs, [_b(EX, "x", "y")])
+
+
+def _check_rows_against_exact_deviations(problem):
+    """Each row against the exact deviations lo - c and hi - c, in
+    Fractions: the outer row holds g * d at every corner of the gradient
+    enclosure g and the deviations d, and the inner row lies inside
+    mig(g) times the deviations, signed by the gradient."""
+    tape = problem.outputs[0].expr
+    grad = eval_grad(tape, problem.domains())
+    rows = contribution_rows(tape, problem)
+    for spec in problem.variables:
+        g, row = grad.partials[spec.name], rows[spec.name]
+        c = Fraction(spec.center)
+        d_lo, d_hi = Fraction(spec.domain.lo) - c, Fraction(spec.domain.hi) - c
+        corners = [Fraction(s) * d for s in (g.lo, g.hi) for d in (d_lo, d_hi)]
+        assert Fraction(row.outer.lo) <= min(corners) and max(corners) <= Fraction(row.outer.hi)
+        if g.lo >= 0.0:  # slope at least mig(g) = g.lo
+            lo, hi = Fraction(g.lo) * d_lo, Fraction(g.lo) * d_hi
+        elif g.hi <= 0.0:  # slope at most -mig(g) = g.hi
+            lo, hi = Fraction(g.hi) * d_hi, Fraction(g.hi) * d_lo
+        else:
+            lo = hi = Fraction(0)
+        assert lo <= Fraction(row.inner.lo) and Fraction(row.inner.hi) <= hi
+
+
+class TestContributionRowRounding:
+    """A deviation radius rounded one ulp the wrong way fails here."""
+
+    @given(_row_problems())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_rows_bound_the_exact_contributions(self, problem):
+        _check_rows_against_exact_deviations(problem)
+
+    @pytest.mark.parametrize("text", ["x", "-x"])
+    def test_off_grid_center(self, text):
+        """c = 0.1 on [-1e-17, 0.7]: neither c - lo nor hi - c is a float."""
+        p = _simple_problem(text, [("x", -1e-17, 0.7, 0.1)], [_b(EX, "x")])
+        _check_rows_against_exact_deviations(p)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +455,8 @@ class TestSolveScalarDispatch:
         assert exact.inner == Interval(-1.0, 1.0)
         assert exact.outer == Interval(-1.0, 1.0)
         # forcing the mean-value path with the computed rows agrees here
-        forced = solve_scalar(p, p.outputs[0].expr, supplied_rows=exact.rows)
+        rows = contribution_rows(p.outputs[0].expr, p)
+        forced = solve_scalar(p, p.outputs[0].expr, supplied_rows=rows)
         assert forced.method == "mean-value"
         assert forced.inner == exact.inner
         assert forced.outer == exact.outer
@@ -412,14 +483,123 @@ class TestSolveScalarDispatch:
         assert got.inner == Interval(0.0, 0.0)
         assert got.outer == Interval(0.0, 0.0)
 
-    def test_exact_affine_still_reports_rows(self):
-        p = _simple_problem(
-            "x1 + 2*x2",
-            [("x1", -1.0, 1.0, 0.0), ("x2", -1.0, 1.0, 0.0)],
-            [_b(FA, "x1"), _b(EX, "x2")],
+
+def _counted_calls(monkeypatch, names=("eval_grad", "eval_interval", "contribution_rows")):
+    """Call counts of the named scalar functions, from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(scalar, name)
+
+        def counted(*args, _name=name, _fn=fn):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(scalar, name, counted)
+    return calls
+
+
+class TestPrepareRoute:
+    """An affine output is built from its folded coefficients alone; the
+    gradient and the rows are computed only for the mean-value route."""
+
+    def test_affine_output_computes_no_gradient(self, monkeypatch):
+        p = _simple_problem("x/3 + 0.1*y", [("x", 0.0, 1.0, 0.1), ("y", -1.0, 1.0, 0.0)],
+                            [_b(FA, "x"), _b(EX, "y")])
+        calls = _counted_calls(monkeypatch)
+        model = prepare(p, p.outputs[0].expr)
+        assert model.exact
+        assert calls == {"eval_grad": 0, "eval_interval": 1, "contribution_rows": 0}
+
+    def test_mean_value_output_computes_one_gradient(self, monkeypatch):
+        p = _simple_problem("x*y", [("x", 0.0, 1.0, 0.1), ("y", -1.0, 1.0, 0.0)],
+                            [_b(FA, "x"), _b(EX, "y")])
+        calls = _counted_calls(monkeypatch)
+        model = prepare(p, p.outputs[0].expr)
+        assert not model.exact
+        assert calls == {"eval_grad": 1, "eval_interval": 1, "contribution_rows": 1}
+
+    @pytest.mark.parametrize("center", [0.5, 0.0])
+    def test_affine_output_keeps_the_box_evaluation_error(self, center):
+        """(1/x)^0 + y folds to 1 + y, but 1/x fails on the box [0, 1]
+        (and at the center 0): the output is still refused, by name."""
+        p = QuantifiedProblem(
+            (VariableSpec("x", Interval(0.0, 1.0), center), VariableSpec("y", Interval(-1.0, 1.0), 0.0)),
+            (_b(EX, "x", "y"),),
+            (Output("ok", parse("y")), Output("g", parse("(1/x)^0 + y"))),
         )
+        assert affine_coefficients(p.outputs[1].expr) == (Fraction(1), {"y": Fraction(1)})
+        with pytest.raises(OutputError, match=r"^output 'g': division by zero"):
+            solve_vector(p)
+
+    def test_affine_output_keeps_an_intermediate_overflow(self):
+        p = _simple_problem("x*1e200*1e200/1e300", [("x", 0.0, 1.0, 0.0)], [_b(EX, "x")])
+        with pytest.raises(ValueError, match="must be finite"):
+            prepare(p, p.outputs[0].expr)
+
+    def test_affine_output_whose_derivative_alone_overflows_is_bounded(self):
+        """The partial derivative of x*1e300*1e10 overflows, but no value
+        over the box does, and this route computes no derivative: the exact
+        range is reported."""
+        p = _simple_problem("x*1e300*1e10/1e10", [("x", 0.0, 1e-300, 0.0)], [_b(EX, "x")])
         got = solve_scalar(p, p.outputs[0].expr)
-        assert got.rows == contribution_rows(p.outputs[0].expr, p)
+        assert got.method == "exact-affine"
+        assert got.inner == Interval(0.0, 1.0)
+        assert got.outer == Interval(0.0, 1.0000000000000002)
+
+
+# Endpoints of the exact affine route: subnormals, the float range's edges,
+# zero of both signs and values that are not dyadic fractions.
+_AFFINE_ENDPOINTS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1, -0.3, 1e-17, 7.0]
+)
+_COEFFS = st.sampled_from(["1", "-2", "0.1", "1/3", "-5/7", "2/9", "1e-300/11", "1e300/13"])
+
+
+@st.composite
+def _affine_route_problems(draw):
+    """An affine output with odd-denominator coefficients under a random
+    prefix, on domains (point domains among them) from the endpoints above
+    and centers drawn anywhere in them."""
+    n = draw(st.integers(1, 4))
+    variables, blocks = [], []
+    for i in range(n):
+        lo, hi = sorted((draw(_AFFINE_ENDPOINTS), draw(_AFFINE_ENDPOINTS)))
+        if draw(st.booleans()):
+            hi = lo  # a point domain
+        variables.append(VariableSpec(f"v{i}", Interval(lo, hi), _center(draw, lo, hi)))
+        blocks.append(Block(draw(st.sampled_from((FA, EX))), (f"v{i}",)))
+    terms = [draw(st.sampled_from(["0", "1/3", "-0.1", "1e308"]))]
+    terms += [f"({draw(_COEFFS)})*v{i}" for i in range(n) if draw(st.booleans())]
+    return QuantifiedProblem(tuple(variables), tuple(blocks), (Output("f", parse(" + ".join(terms))),))
+
+
+def _outcome(fn, *args):
+    """repr of fn(*args), or of the ValueError it raises."""
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return f"ValueError({exc})"
+
+
+class TestIntegerAffineModel:
+    @given(_affine_route_problems())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_matches_the_fraction_norms(self, problem):
+        """The integer model's exact range is the oracle's per-block norm
+        sums, and the reported bounds are those sums rounded, bit for bit."""
+        tape = problem.outputs[0].expr
+        affine = affine_coefficients(tape)
+        assert affine is not None
+        assert exact_affine_range(*affine, problem) == oracle_exact_affine_range(*affine, problem)
+        try:
+            model = prepare(problem, tape)
+        except ValueError:  # the interval value overflows on the box
+            with pytest.raises(ValueError):
+                eval_interval(tape, problem.domains())
+            return
+        assert model.exact
+        want = _outcome(oracle_assemble, oracle_output(problem, tape), problem)
+        assert _outcome(model.result, model.keep_all) == want
 
 
 class TestNonlinearScalarFixture:
@@ -427,13 +607,14 @@ class TestNonlinearScalarFixture:
         loaded = load_problem(str(FIXTURES / "nonlinear_scalar.json"))
         p = loaded.problem
         got = solve_scalar(p, p.outputs[0].expr)
+        rows = contribution_rows(p.outputs[0].expr, p)
         assert got.method == "mean-value"
-        assert got.center_value == Interval(11.0, 11.0)
+        assert eval_interval(p.outputs[0].expr, p.center_env()) == Interval(11.0, 11.0)
         assert got.inner == Interval(10.0, 12.0)
         assert got.outer == Interval(1.5, 20.5)
-        assert got.rows["x1"] == _row(0.0, 0.0, -0.5, 0.5)
-        assert got.rows["x2"] == _row(-1.0, 1.0, -3.0, 3.0)
-        assert got.rows["x3"] == _row(-4.0, 4.0, -10.0, 10.0)
+        assert rows["x1"] == _row(0.0, 0.0, -0.5, 0.5)
+        assert rows["x2"] == _row(-1.0, 1.0, -3.0, 3.0)
+        assert rows["x3"] == _row(-4.0, 4.0, -10.0, 10.0)
         assert got.inner_failed_pair is None and got.outer_failed_pair is None
 
 
@@ -442,14 +623,15 @@ class TestPolynomialFlowFixture:
         loaded = load_problem(str(FIXTURES / "dubbins_taylor.json"))
         p = loaded.problem
         got = solve_scalar(p, p.outputs[0].expr)
+        rows = contribution_rows(p.outputs[0].expr, p)
         assert got.method == "mean-value"
         assert got.inner == Interval(-0.09499996725, 0.5899999017499999)
         assert got.outer == Interval(-0.1, 0.6050000655000002)
-        assert got.rows["e1"] == _row(-0.1, 0.1, -0.1, 0.1)
-        assert got.rows["e2"] == _row(0.0, 0.0, -0.005, 0.005)
-        assert got.rows["e3"] == _row(0.0, 0.0, -3.275e-08, 3.275e-08)
-        assert got.rows["t"].inner == Interval(0.0, 0.49499993449999996)
-        assert got.rows["t"].outer == Interval(0.0, 0.5050000655000001)
+        assert rows["e1"] == _row(-0.1, 0.1, -0.1, 0.1)
+        assert rows["e2"] == _row(0.0, 0.0, -0.005, 0.005)
+        assert rows["e3"] == _row(0.0, 0.0, -3.275e-08, 3.275e-08)
+        assert rows["t"].inner == Interval(0.0, 0.49499993449999996)
+        assert rows["t"].outer == Interval(0.0, 0.5050000655000001)
 
 
 class TestSuppliedRowsFixture:
@@ -477,11 +659,14 @@ class TestSuppliedRowsFixture:
 
 class TestPrepareCost:
     def test_prepare_memory_is_linear_in_a_long_sum(self):
-        # about 10 MB when each sum copied its left operand's partial dict
+        # about 10 MB when each sum copied its left operand's partial dict;
+        # the affine output's prepare computes no gradient, so its rows are
+        # computed here as well
         problem = linear_problem(400)
         tracemalloc.start()
         try:
             prepare(problem, problem.outputs[0].expr)
+            contribution_rows(problem.outputs[0].expr, problem)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -15,13 +15,12 @@ from quantrange.exprs import parse, to_text
 from quantrange.intervals import EMPTY, Interval, is_empty
 from quantrange.problem import Block, Output, QuantifiedProblem, Quantifier, VariableSpec
 from quantrange.problemfile import load_problem
-from quantrange.scalar import ZERO_ROW, ContributionRow, prepare, solve_scalar
+from quantrange.scalar import ZERO_ROW, ContributionRow, contribution_rows, prepare, solve_scalar
 from quantrange.vectorsolve import (
     ComponentResult,
     OutputError,
     derived_blocks,
     existential_order,
-    inner_for_assignment,
     solve_vector,
 )
 
@@ -31,6 +30,7 @@ from helpers import (
     oracle_exhaustive_assignment,
     oracle_greedy_assignment,
     oracle_inner,
+    oracle_output,
     with_blocks,
 )
 
@@ -50,6 +50,11 @@ def linear_system():
 @pytest.fixture(scope="module")
 def flow():
     return load_problem(str(FIXTURES / "dubbins_flow.json"))
+
+
+def _pinned_inners(problem, assignment):
+    """Each component's inner box under a pinned assignment."""
+    return tuple(c.inner for c in solve_vector(problem, pinned=assignment).components)
 
 
 class TestExistentialOrder:
@@ -94,22 +99,16 @@ class TestLinearSystemSolve:
         assert not res.inner_empty
 
     def test_alternative_assignments_pin_their_inners(self, linear_system):
-        got = inner_for_assignment(linear_system, {"x1": 0, "x3": 1, "x4": 0})
+        got = _pinned_inners(linear_system, {"x1": 0, "x3": 1, "x4": 0})
         assert is_empty(got[0]) and is_empty(got[1])
-        got = inner_for_assignment(linear_system, {"x1": 1, "x3": 1, "x4": 0})
+        got = _pinned_inners(linear_system, {"x1": 1, "x3": 1, "x4": 0})
         assert is_empty(got[0]) and is_empty(got[1])
-        got = inner_for_assignment(linear_system, {"x1": 1, "x3": 0, "x4": 1})
+        got = _pinned_inners(linear_system, {"x1": 1, "x3": 0, "x4": 1})
         assert is_empty(got[0])
         assert got[1] == Interval(-5.0, 3.0)
 
-    def test_inner_for_assignment_is_checked_like_a_pinned_one(self, linear_system):
-        with pytest.raises(ValueError, match="misses existential"):
-            inner_for_assignment(linear_system, {"x1": 0})
-        with pytest.raises(ValueError, match="unknown components"):
-            inner_for_assignment(linear_system, {"x1": 0, "x3": 2, "x4": 0})
-
-    def test_winner_matches_inner_for_assignment(self, linear_system):
-        got = inner_for_assignment(linear_system, {"x1": 0, "x3": 0, "x4": 1})
+    def test_winner_matches_its_pinned_solve(self, linear_system):
+        got = _pinned_inners(linear_system, {"x1": 0, "x3": 0, "x4": 1})
         assert got == (Interval(-1.0, 5.0), Interval(-3.0, 1.0))
 
     def test_greedy_strategy_is_deterministic_here(self, linear_system):
@@ -236,7 +235,7 @@ class TestStrategySelection:
             (_b(FA, "u"), _b(EX, "e")),
             (Output("a", parse("e*0.3333333333333333 + u")), Output("b", parse("e/3 + u"))),
         )
-        a, b = (solve_scalar(p, o.expr).rows["e"].inner for o in p.outputs)
+        a, b = (contribution_rows(o.expr, p)["e"].inner for o in p.outputs)
         assert a == b
         assert solve_vector(p, strategy="greedy").assignment == {"e": 1}
 
@@ -296,8 +295,8 @@ def test_components_match_scalar_solves_bit_for_bit(fixture):
     for out, comp in zip(problem.outputs, res.components):
         rows = None if supplied is None else supplied.get(out.name)
         ref = solve_scalar(problem, out.expr, rows)
-        got = (comp.outer, comp.outer_failed_pair, comp.method, comp.center_value, comp.rows)
-        want = (ref.outer, ref.outer_failed_pair, ref.method, ref.center_value, ref.rows)
+        got = (comp.outer, comp.outer_failed_pair, comp.method)
+        want = (ref.outer, ref.outer_failed_pair, ref.method)
         assert repr(got) == repr(want), out.name
         ref = solve_scalar(with_blocks(problem, comp.derived), out.expr, rows)
         assert repr((comp.inner, comp.inner_failed_pair)) == repr(
@@ -470,7 +469,7 @@ def test_memoised_search_matches_brute_force(case):
     that per-component scalar solves give under it."""
     problem, supplied = case
     res = solve_vector(problem, supplied=supplied)
-    prepared = [prepare(problem, o.expr, supplied[o.name]) for o in problem.outputs]
+    prepared = [oracle_output(problem, o.expr, supplied[o.name]) for o in problem.outputs]
     want = oracle_exhaustive_assignment(problem, prepared, existential_order(problem))
     assert res.strategy_used == "exhaustive"
     assert res.assignment == want
@@ -481,8 +480,8 @@ def test_memoised_search_matches_brute_force(case):
         inner = solve_scalar(with_blocks(problem, derived), out.expr, supplied[out.name])
         components.append(
             ComponentResult(
-                out.name, inner.inner, outer.outer, outer.center_value, outer.rows,
-                outer.method, derived, inner.inner_failed_pair, outer.outer_failed_pair,
+                out.name, inner.inner, outer.outer, outer.method, derived,
+                inner.inner_failed_pair, outer.outer_failed_pair,
             )
         )
     assert repr(res.components) == repr(tuple(components))
@@ -542,9 +541,10 @@ _KEPT_SET_CASES = st.one_of(
 
 
 def _models(problem, supplied):
-    """The row model of each output."""
+    """The row model of each output, with what the oracles read of it."""
     for out in problem.outputs:
-        yield prepare(problem, out.expr, None if supplied is None else supplied[out.name])
+        rows = None if supplied is None else supplied[out.name]
+        yield prepare(problem, out.expr, rows), oracle_output(problem, out.expr, rows)
 
 
 def _kept_sets(problem, j):
@@ -570,9 +570,9 @@ def test_integer_scores_match_assembly(case):
     2**-1074) of the inner box that oracle_inner assembles in Fractions on
     the rewritten prefix, bit for bit."""
     problem, supplied = case
-    for j, model in enumerate(_models(problem, supplied)):
+    for j, (model, output) in enumerate(_models(problem, supplied)):
         for kept, rewritten in _kept_sets(problem, j):
-            want, _ = oracle_inner(model, rewritten)
+            want, _ = oracle_inner(output, rewritten)
             if is_empty(want):
                 assert model.score(kept) == (0, 0)
             else:
@@ -588,12 +588,12 @@ def test_row_model_matches_the_fraction_assembly(case):
     does), and the inner box and failing pair of every kept set match the
     Fraction assembly on the rewritten prefix."""
     problem, supplied = case
-    for j, model in enumerate(_models(problem, supplied)):
-        assert _outcome(model.result, model.keep_all) == _outcome(oracle_assemble, model, problem)
+    for j, (model, output) in enumerate(_models(problem, supplied)):
+        assert _outcome(model.result, model.keep_all) == _outcome(oracle_assemble, output, problem)
         for kept, rewritten in _kept_sets(problem, j):
             box, failed = model.inner(kept)
-            want = oracle_inner(model, rewritten)
-            assert repr((box, failed if model.affine is None else None)) == repr(want)
+            want = oracle_inner(output, rewritten)
+            assert repr((box, None if model.exact else failed)) == repr(want)
 
 
 @given(_KEPT_SET_CASES)
@@ -603,7 +603,7 @@ def test_score_is_monotone_in_the_kept_set(case):
     property that makes the branch-and-bound bound admissible."""
     problem, supplied = case
     e = len(existential_order(problem))
-    for model in _models(problem, supplied):
+    for model, _ in _models(problem, supplied):
         for kept in range(1 << e):
             n, w = model.score(kept)
             for i in range(e):
@@ -639,10 +639,10 @@ def test_greedy_matches_the_fraction_greedy(case):
     existentials in the order, and to the components, that the greedy on
     Fraction row widths does."""
     problem, supplied = case
-    models = list(_models(problem, supplied))
+    models, outputs = zip(*_models(problem, supplied))
     names = existential_order(problem)
     got = vectorsolve._greedy_assignment(models, names)
-    want = oracle_greedy_assignment(problem, models, names)
+    want = oracle_greedy_assignment(problem, outputs, names)
     assert list(got.items()) == list(want.items())
 
 
@@ -653,7 +653,7 @@ def test_search_on_affine_outputs_matches_brute_force(case):
     assignment as brute force over assembled exact ranges."""
     problem, _ = case
     res = solve_vector(problem)
-    prepared = [prepare(problem, o.expr) for o in problem.outputs]
+    prepared = [oracle_output(problem, o.expr) for o in problem.outputs]
     assert res.assignment == oracle_exhaustive_assignment(
         problem, prepared, existential_order(problem)
     )
