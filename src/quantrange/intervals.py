@@ -12,8 +12,8 @@ The error terms are exact over the whole finite range: when an operand or
 the product exceeds 2**995, two_product scales the larger operand by a
 power of two before Dekker's split, which would otherwise overflow and
 leave huge products and quotients rounded to nearest; and a quotient near
-the underflow range is placed against the exact rational instead of an
-error term that may underflow.  Directed products and
+the underflow range is rounded from the exact ratio of its operands instead
+of placed against an error term that may underflow.  Directed products and
 quotients are therefore monotone in the exact value, which is what lets
 iv_mul and iv_div take each bound from the single corner that the
 operands' signs select (the sign table of Moore, Kearfott & Cloud,
@@ -28,6 +28,13 @@ the dataclass initialiser when they pass.
 
 An empty result (from emptiness conditions downstream) is the distinct
 singleton EMPTY, never a crossed interval.
+
+round_ratio is the one step from an exact ratio of integers to a float,
+rounded toward +inf or -inf: the tiny-quotient case above and the row
+models' sums (scalar) use it.  CPython's int / int is correctly rounded,
+so one integer comparison of cross products settles the direction
+(Muller et al., *Handbook of Floating-Point Arithmetic*, 2nd ed., 2018,
+ch. 2).
 """
 
 from __future__ import annotations
@@ -35,7 +42,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 
 __all__ = [
@@ -54,8 +60,7 @@ __all__ = [
     "iv_cos",
     "iv_hull",
     "is_empty",
-    "frac_to_float_down",
-    "frac_to_float_up",
+    "round_ratio",
 ]
 
 _INF = math.inf
@@ -134,29 +139,22 @@ def two_product(a: float, b: float) -> tuple[float, float]:
 _TINY = 1e-290
 
 
-def _float(x: Fraction) -> float:
-    """float(x), or the largest finite float of x's sign when x is beyond
-    the float range (the directed step below then reaches the infinity)."""
+def round_ratio(n: int, d: int, up: bool) -> float:
+    """The smallest float >= n/d (up) or the largest float <= it, for d > 0.
+
+    n / d is correctly rounded, so at most one step away from the exact
+    ratio, which one integer comparison detects.  Beyond the float range it
+    starts from the largest finite float of the ratio's sign, so rounding
+    toward zero stays finite and rounding away from it reaches the infinity.
+    """
     try:
-        return float(x)
+        f = n / d
     except OverflowError:
-        return _MAX if x > 0 else -_MAX
-
-
-def frac_to_float_down(x: Fraction) -> float:
-    """Largest float <= x (float() is correctly rounded, so one step suffices)."""
-    f = _float(x)
-    if Fraction(f) > x:
-        f = _next_down(f)
-    return f
-
-
-def frac_to_float_up(x: Fraction) -> float:
-    """Smallest float >= x."""
-    f = _float(x)
-    if Fraction(f) < x:
-        f = _next_up(f)
-    return f
+        f = _MAX if n > 0 else -_MAX
+    fn, fd = f.as_integer_ratio()
+    if up:
+        return _next_up(f) if fn * d < n * fd else f
+    return _next_down(f) if fn * d > n * fd else f
 
 
 def add_down(a: float, b: float) -> float:
@@ -197,18 +195,18 @@ def _div_directed(x: float, y: float, up: bool) -> float:
     """Quotient rounded toward +inf (up) or -inf (not up): the largest float
     <= x/y or the smallest float >= it, so monotone in the exact quotient."""
     q = x / y
-    if _TINY <= abs(x) and _TINY <= abs(q):
-        # q*y = p + e exactly; compare with x to find which side q is on.
-        p, e = two_product(q, y)
-        if p == x and e == 0.0:
-            return q  # exact quotient
-        qy_gt_x = p > x or (p == x and e > 0.0)
-    else:
-        # The error term of q*y may underflow here; compare exactly instead.
-        excess = Fraction(q) * Fraction(y) - Fraction(x)
-        if not excess:
-            return q
-        qy_gt_x = excess > 0
+    if abs(x) < _TINY or abs(q) < _TINY:
+        # The error term of q*y may underflow here; round the exact ratio instead.
+        xn, xd = x.as_integer_ratio()
+        yn, yd = y.as_integer_ratio()
+        if yn < 0:  # round_ratio takes a positive denominator
+            xn, yn = -xn, -yn
+        return round_ratio(xn * yd, xd * yn, up)
+    # q*y = p + e exactly; compare with x to find which side q is on.
+    p, e = two_product(q, y)
+    if p == x and e == 0.0:
+        return q  # exact quotient
+    qy_gt_x = p > x or (p == x and e > 0.0)
     q_gt_true = qy_gt_x if y > 0.0 else not qy_gt_x
     if up:
         return q if q_gt_true else _next_up(q)

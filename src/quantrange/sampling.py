@@ -62,7 +62,7 @@ class _Level:
     """One nonempty block of the prefix while its grid assignments are
     enumerated, with the range folded from the assignments so far."""
 
-    __slots__ = ("names", "universal", "assignments", "lo", "hi", "seen")
+    __slots__ = ("names", "universal", "assignments", "lo", "hi")
 
     def __init__(self, block: Block, grids: Mapping[str, list[float]]) -> None:
         self.names = block.names
@@ -70,7 +70,6 @@ class _Level:
         self.assignments = itertools.product(*(grids[name] for name in block.names))
         # The fold starts from the identity of intersection or hull.
         self.lo, self.hi = (-math.inf, math.inf) if self.universal else (math.inf, -math.inf)
-        self.seen = False
 
 
 def _estimate_component(
@@ -80,7 +79,10 @@ def _estimate_component(
 
     A loop over a stack with one level per nonempty block, so the length of
     the prefix does not bound the Python stack.  A universal level that
-    meets an empty child range is empty itself and stops enumerating.
+    meets an empty child range is empty itself and stops enumerating.  A
+    level's range is empty exactly when lo > hi: an existential level that
+    folded nothing still holds the hull identity, and a universal level
+    folds at least one child, since an empty child pops it at once.
     """
     blocks = [block for block in blocks if block.names]
     env: dict[str, float] = {}
@@ -100,7 +102,7 @@ def _estimate_component(
             got: tuple[float, float] | None = (v, v)
         else:
             levels.pop()
-            got = None if not top.seen or top.lo > top.hi else (top.lo, top.hi)
+            got = None if top.lo > top.hi else (top.lo, top.hi)
             if not levels:
                 return got
             top = levels[-1]
@@ -111,7 +113,6 @@ def _estimate_component(
             top = levels[-1]
         if got is None:
             continue
-        top.seen = True
         if top.universal:
             top.lo = max(top.lo, got[0])
             top.hi = min(top.hi, got[1])

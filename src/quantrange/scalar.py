@@ -32,8 +32,8 @@ the gradient is computed.
 Both routes are one integer assembly (RowModel): every endpoint is an
 exact multiple of a common unit, so the sums and the validity conditions
 are decided exactly, and final endpoints are rounded inward (inner) or
-outward (outer).  The model also gives the inner box of any kept set: the
-prefix rewrite of a vector solve.
+outward (outer) by intervals.round_ratio.  The model also gives the inner
+box of any kept set: the prefix rewrite of a vector solve.
 
 `prepare` folds an expression's affine form, or else evaluates its center
 value and rows, once, and returns its RowModel under the problem's prefix;
@@ -70,17 +70,15 @@ from .intervals import (
     MaybeInterval,
     add_down,
     add_up,
-    frac_to_float_down,
-    frac_to_float_up,
     is_empty,
     iv_mul,
     mul_down,
+    round_ratio,
 )
 from .problem import Block, QuantifiedProblem
 
 __all__ = [
     "ContributionRow",
-    "ZERO_ROW",
     "ScalarResult",
     "RowModel",
     "contribution_rows",
@@ -112,7 +110,6 @@ class ContributionRow:
 
 
 _ZERO_IV = Interval(0.0, 0.0)
-ZERO_ROW = ContributionRow(_ZERO_IV, _ZERO_IV)
 
 
 def contribution_rows(expr: Tape, problem: QuantifiedProblem) -> dict[str, ContributionRow]:
@@ -303,8 +300,8 @@ class RowModel:
         if failed is not None:
             merged = sum(1 for mask in self.pair_masks[:failed] if mask and not kept & mask)
             return EMPTY, failed + 1 - merged
-        lo_f = frac_to_float_up(Fraction(lo, self.denom))
-        hi_f = frac_to_float_down(Fraction(hi, self.denom))
+        lo_f = round_ratio(lo, self.denom, True)
+        hi_f = round_ratio(hi, self.denom, False)
         return (Interval(lo_f, hi_f) if lo_f <= hi_f else EMPTY), None
 
     def score(self, kept: int) -> tuple[int, int]:
@@ -325,9 +322,7 @@ class RowModel:
             return EMPTY, failed + 1
         else:
             lo, hi = self.fallback
-        outer = Interval(
-            frac_to_float_down(Fraction(lo, self.denom)), frac_to_float_up(Fraction(hi, self.denom))
-        )
+        outer = Interval(round_ratio(lo, self.denom, False), round_ratio(hi, self.denom, True))
         return outer, None if failed is None else failed + 1
 
     def result(self, kept: int) -> ScalarResult:

@@ -82,7 +82,6 @@ class ComponentResult:
     inner: MaybeInterval
     outer: MaybeInterval
     method: str
-    derived: tuple[Block, ...]
     inner_failed_pair: int | None
     outer_failed_pair: int | None
 
@@ -276,7 +275,6 @@ def solve_vector(
                 inner=got.inner,
                 outer=got.outer,
                 method=got.method,
-                derived=derived_blocks(problem, j, assignment),
                 inner_failed_pair=got.inner_failed_pair,
                 outer_failed_pair=got.outer_failed_pair,
             )

@@ -8,8 +8,10 @@ sweeps), the alternation check (one-pass and quadratic), the
 bound assembly and the exact affine range summed in Fractions, the inner
 bound of one assembly alone, brute-force assignment search and the greedy
 assignment on Fraction row widths (for the integer row model and the
-solvers), the affine vertex oracle (for the exact affine route), and
-the interval containment test and center view that the tests read.
+solvers), the affine vertex oracle (for the exact affine route), the
+directed rounding of a Fraction to a float (for intervals.round_ratio),
+and the zero row, interval containment test and center view that the
+tests read.
 
 Everything here is seeded by the caller; the same rng state always yields the
 same problems, so failures reproduce exactly.
@@ -21,6 +23,7 @@ import itertools
 import math
 import random
 import struct
+import sys
 from fractions import Fraction
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -52,8 +55,6 @@ from quantrange.intervals import (
     MaybeInterval,
     div_down,
     div_up,
-    frac_to_float_down,
-    frac_to_float_up,
     is_empty,
     iv_add,
     iv_cos,
@@ -73,7 +74,6 @@ from quantrange.problem import (
 )
 from quantrange.sampling import _grid, sampling_estimate
 from quantrange.scalar import (
-    ZERO_ROW,
     ContributionRow,
     ScalarResult,
     contribution_rows,
@@ -588,6 +588,40 @@ def make_random_problem(rng: random.Random, n_outputs: int = 1) -> QuantifiedPro
     return QuantifiedProblem(
         blocks=blocks, variables=tuple(variables), outputs=outputs
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference directed rounding of an exact rational (for intervals.round_ratio)
+# ---------------------------------------------------------------------------
+
+
+def _float(x: Fraction) -> float:
+    """float(x), or the largest finite float of x's sign when x is beyond
+    the float range (the directed step below then reaches the infinity)."""
+    try:
+        return float(x)
+    except OverflowError:
+        return sys.float_info.max if x > 0 else -sys.float_info.max
+
+
+def frac_to_float_down(x: Fraction) -> float:
+    """Largest float <= x (float() is correctly rounded, so one step suffices)."""
+    f = _float(x)
+    if Fraction(f) > x:
+        f = math.nextafter(f, -math.inf)
+    return f
+
+
+def frac_to_float_up(x: Fraction) -> float:
+    """Smallest float >= x."""
+    f = _float(x)
+    if Fraction(f) < x:
+        f = math.nextafter(f, math.inf)
+    return f
+
+
+# The zero row: what a missing row of a supplied-row output stands for.
+ZERO_ROW = ContributionRow(Interval(0.0, 0.0), Interval(0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,9 @@ CASES: dict[str, tuple[str | Path | tuple[str, ...], tuple[str, ...]]] = {
     # on off-grid domains
     "affine_offgrid.json": (INPUTS / "affine_offgrid.json", ()),
     "affine_offgrid.greedy.json": (INPUTS / "affine_offgrid.json", ("--pi", "greedy")),
+    # supplied rows with subnormal endpoints and endpoints near 1e308, an outer bound
+    # on the mean-value fallback, and affine outputs rounded near both ends of the range
+    "rounding_edges.json": (INPUTS / "rounding_edges.json", ()),
 }
 
 

@@ -26,8 +26,6 @@ from quantrange.intervals import (
     add_up,
     div_down,
     div_up,
-    frac_to_float_down,
-    frac_to_float_up,
     is_empty,
     iv_add,
     iv_cos,
@@ -40,11 +38,18 @@ from quantrange.intervals import (
     iv_sub,
     mul_down,
     mul_up,
+    round_ratio,
     two_product,
     two_sum,
 )
 
-from helpers import contains, oracle_iv_div, oracle_iv_mul
+from helpers import (
+    contains,
+    frac_to_float_down,
+    frac_to_float_up,
+    oracle_iv_div,
+    oracle_iv_mul,
+)
 
 # The whole finite range: subnormals, +-0.0 and operands near the float
 # maximum included.
@@ -198,19 +203,119 @@ class TestDirectedRounding:
 
     def test_fraction_conversions_are_adjacent_floats(self):
         third = Fraction(1, 3)
-        lo, hi = frac_to_float_down(third), frac_to_float_up(third)
+        lo, hi = round_ratio(1, 3, False), round_ratio(1, 3, True)
         assert Fraction(lo) <= third <= Fraction(hi)
         assert math.nextafter(lo, math.inf) == hi
         # Exactly representable values convert without widening.
-        assert frac_to_float_down(Fraction(3, 4)) == 0.75 == frac_to_float_up(Fraction(3, 4))
-        assert frac_to_float_down(Fraction(-5, 2)) == -2.5 == frac_to_float_up(Fraction(-5, 2))
+        assert round_ratio(3, 4, False) == 0.75 == round_ratio(3, 4, True)
+        assert round_ratio(-5, 2, False) == -2.5 == round_ratio(-5, 2, True)
 
     def test_fraction_conversions_beyond_the_float_range(self):
         huge = 2 * Fraction(sys.float_info.max)
-        assert frac_to_float_down(huge) == sys.float_info.max
-        assert frac_to_float_up(huge) == math.inf
-        assert frac_to_float_down(-huge) == -math.inf
-        assert frac_to_float_up(-huge) == -sys.float_info.max
+        n, d = huge.numerator, huge.denominator
+        assert round_ratio(n, d, False) == sys.float_info.max
+        assert round_ratio(n, d, True) == math.inf
+        assert round_ratio(-n, d, False) == -math.inf
+        assert round_ratio(-n, d, True) == -sys.float_info.max
+
+
+# ---------------------------------------------------------------------------
+# round_ratio against the Fraction oracle
+# ---------------------------------------------------------------------------
+
+_FLOAT_MAX = sys.float_info.max
+_MAX_ULP = math.ulp(_FLOAT_MAX)
+# Denominators: 1, the row models' 2**1074 and q * 2**1075, and any.
+_DENOMS = st.one_of(
+    st.just(1),
+    st.just(1 << 1074),
+    st.integers(1, 1 << 64).map(lambda q: q << 1075),
+    st.integers(1, 1 << 3000),
+)
+# Values to put a ratio next to: zero, subnormals, the smallest normal,
+# exact floats, and the float maximum, of either sign.
+_ANCHORS = st.one_of(
+    st.sampled_from(
+        [0.0, 5e-324, 1e-323, 2.2250738585072014e-308, 2.225073858507201e-308, 1.0, 0.1, 1e308]
+        + [_FLOAT_MAX, math.nextafter(_FLOAT_MAX, 0.0)]
+    ),
+    FINITE,
+).flatmap(lambda f: st.sampled_from([f, -f]))
+
+
+# Dividends below the error-term threshold, and divisors that make any
+# quotient of a dividend within 1e10 fall below it.
+_TINY_FLOATS = st.floats(-1e-290, 1e-290)
+_HUGE_FLOATS = st.floats(1e300, _FLOAT_MAX).flatmap(lambda f: st.sampled_from([f, -f]))
+
+
+def _assert_rounds_like_the_oracle(n: int, d: int) -> None:
+    exact = Fraction(n, d)
+    assert repr(round_ratio(n, d, False)) == repr(frac_to_float_down(exact))
+    assert repr(round_ratio(n, d, True)) == repr(frac_to_float_up(exact))
+
+
+def _assert_divides_like_the_oracle(x: float, y: float) -> None:
+    """Compared by value: a zero quotient may come back as 0.0 where x / y
+    gives -0.0."""
+    exact = Fraction(x) / Fraction(y)
+    assert div_down(x, y) == frac_to_float_down(exact)
+    assert div_up(x, y) == frac_to_float_up(exact)
+
+
+class TestRoundRatioMatchesFractionOracle:
+    @given(st.integers(-(1 << 3000), 1 << 3000), _DENOMS)
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_any_ratio(self, n, d):
+        _assert_rounds_like_the_oracle(n, d)
+
+    @given(_ANCHORS, _DENOMS, st.integers(-3, 3))
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_ratios_next_to_a_float(self, f, d, step):
+        """A ratio a few units of 1/d from f, or f itself (step 0, where
+        f * d is an integer)."""
+        _assert_rounds_like_the_oracle(round(Fraction(f) * d) + step, d)
+
+    @pytest.mark.parametrize("quarters", range(-4, 9))
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_just_inside_and_past_the_float_maximum(self, quarters, sign):
+        """max + k/4 ulp: up to half an ulp past it, n / d still rounds to
+        the maximum; beyond that it overflows and the clamp takes over."""
+        exact = sign * (Fraction(_FLOAT_MAX) + Fraction(quarters, 4) * Fraction(_MAX_ULP))
+        _assert_rounds_like_the_oracle(exact.numerator, exact.denominator)
+        if quarters > 0:
+            away = round_ratio(exact.numerator, exact.denominator, sign > 0)
+            toward = round_ratio(exact.numerator, exact.denominator, sign < 0)
+            assert away == sign * math.inf and toward == sign * _FLOAT_MAX
+
+    @given(_TINY_FLOATS, FINITE)
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_tiny_dividends(self, x, y):
+        """div_down and div_up where the error term of q * y may underflow."""
+        assume(y != 0.0)
+        _assert_divides_like_the_oracle(x, y)
+
+    @given(st.floats(-1e10, 1e10), _HUGE_FLOATS)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_tiny_quotients(self, x, y):
+        _assert_divides_like_the_oracle(x, y)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (5e-324, 3.0),
+            (-5e-324, 3.0),
+            (5e-324, -3.0),
+            (-5e-324, -1e300),
+            (1e-300, -7.0),
+            (0.0, -1.0),
+            (-0.0, 2.0),
+            (3e-310, 3e-310),
+            (1e-300, 1e300),
+        ],
+    )
+    def test_tiny_quotient_cases(self, x, y):
+        _assert_divides_like_the_oracle(x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantrange.intervals import frac_to_float_down, frac_to_float_up, is_empty
+from quantrange.intervals import is_empty
 from quantrange.problem import Block, Quantifier, normalize_blocks
 from quantrange.problemfile import load_problem
 from quantrange.scalar import affine_coefficients, exact_affine_range, solve_scalar
 from quantrange.vectorsolve import solve_vector
 
 from conftest import FIXTURES
-from helpers import make_affine_problem, make_random_problem, vertex_oracle_affine
+from helpers import (
+    frac_to_float_down,
+    frac_to_float_up,
+    make_affine_problem,
+    make_random_problem,
+    vertex_oracle_affine,
+)
 
 
 class TestInnerOuterSandwich:

@@ -207,6 +207,41 @@ class TestEstimateValues:
             empty += sum(map(is_empty, got))
         assert empty > 0  # some grid intersections cross
 
+    @pytest.mark.parametrize(
+        "expr_text, var_specs, blocks, want",
+        [
+            # under every a, each x leaves a crossed intersection over y
+            (
+                "a + x*y",
+                [("a", 0.0, 1.0, 0.5), ("x", 1.0, 2.0, 1.5), ("y", -1.0, 1.0, 0.0)],
+                [_b(FA, "a"), _b(EX, "x"), _b(FA, "y")],
+                EMPTY,
+            ),
+            # the same under an existential: every level above is empty too
+            (
+                "a + x*y",
+                [("a", 0.0, 1.0, 0.5), ("x", 1.0, 2.0, 1.5), ("y", -1.0, 1.0, 0.0)],
+                [_b(EX, "a", "x"), _b(FA, "y")],
+                EMPTY,
+            ),
+            # every leaf is NaN (inf - inf), so the hull folds nothing
+            ("x*1e308*10 - x*1e308*10", [("x", 1.0, 2.0, 1.5)], [_b(EX, "x")], EMPTY),
+            # a NaN leaf beside a finite one leaves the finite value
+            (
+                "x*1e308*10 - x*1e308*10",
+                [("x", 0.0, 1.0, 0.5)],
+                [_b(EX, "x")],
+                Interval(0.0, 0.0),
+            ),
+        ],
+    )
+    def test_existential_levels_with_only_empty_children(
+        self, expr_text, var_specs, blocks, want
+    ):
+        p = _problem(expr_text, var_specs, blocks)
+        got = sampling_estimate(p, 2)
+        assert repr(got) == repr(oracle_sampling_estimate(p, 2)) == repr((want,))
+
 
 class TestVertexOracle:
     def test_matches_exact_affine_range_on_random_problems(self):

@@ -21,7 +21,6 @@ from quantrange.intervals import EMPTY, Interval, is_empty
 from quantrange.problem import Block, Output, QuantifiedProblem, Quantifier, VariableSpec
 from quantrange.problemfile import load_problem
 from quantrange.scalar import (
-    ZERO_ROW,
     ContributionRow,
     affine_coefficients,
     assemble_bounds,
@@ -35,6 +34,7 @@ from conftest import FIXTURES
 from quantrange.vectorsolve import OutputError, solve_vector
 
 from helpers import (
+    ZERO_ROW,
     oracle_assemble,
     oracle_exact_affine_range,
     oracle_first_failing_pair,

@@ -15,7 +15,7 @@ from quantrange.exprs import parse, to_text
 from quantrange.intervals import EMPTY, Interval, is_empty
 from quantrange.problem import Block, Output, QuantifiedProblem, Quantifier, VariableSpec
 from quantrange.problemfile import load_problem
-from quantrange.scalar import ZERO_ROW, ContributionRow, contribution_rows, prepare, solve_scalar
+from quantrange.scalar import ContributionRow, contribution_rows, prepare, solve_scalar
 from quantrange.vectorsolve import (
     ComponentResult,
     OutputError,
@@ -26,6 +26,7 @@ from quantrange.vectorsolve import (
 
 from conftest import FIXTURES
 from helpers import (
+    ZERO_ROW,
     oracle_assemble,
     oracle_exhaustive_assignment,
     oracle_greedy_assignment,
@@ -148,13 +149,13 @@ class TestLinearSystemSolve:
 
     def test_derived_prefix_recorded_per_component(self, linear_system):
         res = solve_vector(linear_system)
-        assert res.components[0].derived == (
+        assert derived_blocks(linear_system, 0, res.assignment) == (
             _b(FA),
             _b(EX, "x1"),
             _b(FA, "x2", "x4"),
             _b(EX, "x3"),
         )
-        assert res.components[1].derived == (
+        assert derived_blocks(linear_system, 1, res.assignment) == (
             _b(FA, "x1"),
             _b(EX),
             _b(FA, "x2", "x3"),
@@ -292,13 +293,14 @@ def test_components_match_scalar_solves_bit_for_bit(fixture):
     loaded = load_problem(str(FIXTURES / fixture))
     problem, supplied = loaded.problem, loaded.supplied
     res = solve_vector(problem, supplied=supplied)
-    for out, comp in zip(problem.outputs, res.components):
+    for j, (out, comp) in enumerate(zip(problem.outputs, res.components)):
         rows = None if supplied is None else supplied.get(out.name)
         ref = solve_scalar(problem, out.expr, rows)
         got = (comp.outer, comp.outer_failed_pair, comp.method)
         want = (ref.outer, ref.outer_failed_pair, ref.method)
         assert repr(got) == repr(want), out.name
-        ref = solve_scalar(with_blocks(problem, comp.derived), out.expr, rows)
+        derived = derived_blocks(problem, j, res.assignment)
+        ref = solve_scalar(with_blocks(problem, derived), out.expr, rows)
         assert repr((comp.inner, comp.inner_failed_pair)) == repr(
             (ref.inner, ref.inner_failed_pair)
         ), out.name
@@ -397,7 +399,7 @@ def test_a_failing_kept_set_assembly_is_named():
     assert a.outer == Interval(-1e308, 1e308) and a.outer_failed_pair is None
     assert b.inner == Interval(0.0, 0.0)
     with pytest.raises(ValueError, match=r"^interval bounds must be finite"):
-        solve_scalar(with_blocks(p, a.derived), p.outputs[0].expr, rows)
+        solve_scalar(with_blocks(p, derived_blocks(p, 0, res.assignment)), p.outputs[0].expr, rows)
     res = solve_vector(p, supplied)
     assert res.assignment == {"e": 0}
     assert res.components[0].outer == Interval(-1e308, 1e308)
@@ -480,7 +482,7 @@ def test_memoised_search_matches_brute_force(case):
         inner = solve_scalar(with_blocks(problem, derived), out.expr, supplied[out.name])
         components.append(
             ComponentResult(
-                out.name, inner.inner, outer.outer, outer.method, derived,
+                out.name, inner.inner, outer.outer, outer.method,
                 inner.inner_failed_pair, outer.outer_failed_pair,
             )
         )
