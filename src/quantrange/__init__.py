@@ -37,6 +37,7 @@ from .problem import (
     QuantifiedProblem,
     Quantifier,
     VariableSpec,
+    existential_order,
     normalize_blocks,
 )
 from .problemfile import (
@@ -64,8 +65,6 @@ from .scalar import (
 from .vectorsolve import (
     ComponentResult,
     VectorResult,
-    derived_blocks,
-    existential_order,
     solve_vector,
 )
 
@@ -102,7 +101,6 @@ __all__ = [
     "ComponentResult",
     "VectorResult",
     "existential_order",
-    "derived_blocks",
     "solve_vector",
     "EmptyEstimate",
     "sampling_estimate",

@@ -236,7 +236,9 @@ _END, _NUM, _IDENT, _PUNCT, _BAD = range(5)  # _NUM.._BAD are group numbers
 Token = tuple[int, str, int]  # kind, text, offset
 
 _BINARY = {"+": ADD, "-": SUB, "*": MUL, "/": DIV}
-_PREC = {ADD: 1, SUB: 1, MUL: 2, DIV: 2, NEG: 3}
+# Binding strength, for the parser's reductions and the printer's brackets.
+_PREC = {ADD: 1, SUB: 1, MUL: 2, DIV: 2, NEG: 3, POW: 4}
+_PREC_ATOM = 5
 _FUNCTIONS = {"sin": (SIN, 1), "cos": (COS, 1), "msin": (MSIN, 2)}
 
 
@@ -364,13 +366,7 @@ def parse(text: str) -> Tape:
 # Printer (round-trip: parse(to_text(parse(s))) == parse(s))
 # ---------------------------------------------------------------------------
 
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_NEG = 3
-_PREC_POW = 4
-_PREC_ATOM = 5
-
-_INFIX = {ADD: (" + ", _PREC_ADD), SUB: (" - ", _PREC_ADD), MUL: ("*", _PREC_MUL), DIV: ("/", _PREC_MUL)}
+_INFIX = {ADD: " + ", SUB: " - ", MUL: "*", DIV: "/"}
 
 
 def _wrap(child: tuple[str, int], parent_prec: int, right_side: bool) -> str:
@@ -383,7 +379,7 @@ def _wrap(child: tuple[str, int], parent_prec: int, right_side: bool) -> str:
 def _fmt(op: int, a: Any, b: Any, done: list[tuple[str, int]]) -> tuple[str, int]:
     if op == CONST:
         if a < 0:  # print as unary minus so the printed form reparses
-            return f"-{-a!r}", _PREC_NEG
+            return f"-{-a!r}", _PREC[NEG]
         return repr(a), _PREC_ATOM
     if op == VAR:
         return a, _PREC_ATOM
@@ -393,11 +389,11 @@ def _fmt(op: int, a: Any, b: Any, done: list[tuple[str, int]]) -> tuple[str, int
     if op == MSIN:
         return f"msin({done[a][0]}, {done[b][0]})", _PREC_ATOM
     if op == NEG:
-        return f"-{_wrap(done[a], _PREC_NEG, False)}", _PREC_NEG
+        return f"-{_wrap(done[a], _PREC[NEG], False)}", _PREC[NEG]
     if op == POW:
-        return f"{_wrap(done[a], _PREC_POW, True)}^{b}", _PREC_POW
-    sym, prec = _INFIX[op]
-    return f"{_wrap(done[a], prec, False)}{sym}{_wrap(done[b], prec, True)}", prec
+        return f"{_wrap(done[a], _PREC[POW], True)}^{b}", _PREC[POW]
+    prec = _PREC[op]
+    return f"{_wrap(done[a], prec, False)}{_INFIX[op]}{_wrap(done[b], prec, True)}", prec
 
 
 # The longest text to_text builds; `gen motion 1000` prints 5.4 M characters.

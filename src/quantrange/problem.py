@@ -32,6 +32,7 @@ __all__ = [
     "Output",
     "QuantifiedProblem",
     "normalize_blocks",
+    "existential_order",
 ]
 
 
@@ -153,3 +154,9 @@ class QuantifiedProblem:
         """(forall, exists) block pairs of the normalized prefix."""
         blocks = self.normalized()
         return tuple((blocks[2 * k], blocks[2 * k + 1]) for k in range(len(blocks) // 2))
+
+
+def existential_order(problem: QuantifiedProblem) -> tuple[str, ...]:
+    """Existential variables in normalized-prefix order: the canonical order
+    of assignment vectors, and bit i of a kept set names the i-th one."""
+    return tuple(name for _, ex in problem.normalized_pairs() for name in ex.names)

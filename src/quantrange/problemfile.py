@@ -16,7 +16,8 @@ Validation is strict — unknown keys are rejected — and every error message
 is anchored to the JSON path of the offending value (e.g.
 "variables[2].domain").  Structural problems raise SchemaError; legal
 structure with bad values (crossed domains, off-domain centers,
-contribution rows not containing zero) raises DomainError; malformed
+contribution rows not containing zero, a row whose inner interval "I" is
+not inside its outer interval "O") raises DomainError; malformed
 expressions propagate ParseError.
 
 Contribution overrides replace the computed linearization rows for an
@@ -32,14 +33,13 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 from .exprs import parse as parse_expr
 from .exprs import to_text
 from .intervals import Interval
-from .problem import Block, Output, QuantifiedProblem, Quantifier, VariableSpec
+from .problem import Block, Output, QuantifiedProblem, Quantifier, VariableSpec, existential_order
 from .scalar import ContributionRow
-from .vectorsolve import existential_order
 
 __all__ = [
     "SchemaError",
@@ -145,10 +145,19 @@ def _name(value: Any, path: str) -> str:
     return text
 
 
-def _no_extra_keys(obj: Mapping[str, Any], allowed: set[str], path: str) -> None:
-    extra = sorted(set(obj) - allowed)
+def _fields(
+    value: Any, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> dict:
+    """value as an object with every required key and no key outside
+    required + optional; unknown keys are reported before missing ones."""
+    obj = _obj(value, path)
+    extra = sorted(set(obj).difference(required, optional))
     if extra:
         raise SchemaError(path, f"unknown key(s): {', '.join(extra)}")
+    for key in required:
+        if key not in obj:
+            raise SchemaError(path, f"missing required key '{key}'")
+    return obj
 
 
 def _interval(value: Any, path: str) -> Interval:
@@ -169,13 +178,9 @@ def _interval(value: Any, path: str) -> Interval:
 
 def parse_problem(data: Any, path: str = "$") -> LoadedProblem:
     """Validate a decoded JSON document and build the problem."""
-    top = _obj(data, path)
-    _no_extra_keys(
-        top, {"schema", "variables", "blocks", "outputs", "contributions", "options"}, path
+    top = _fields(
+        data, path, ("schema", "variables", "blocks", "outputs"), ("contributions", "options")
     )
-    for key in ("schema", "variables", "blocks", "outputs"):
-        if key not in top:
-            raise SchemaError(path, f"missing required key '{key}'")
     version = _int(top["schema"], f"{path}.schema")
     if version != SCHEMA_VERSION:
         raise SchemaError(f"{path}.schema", f"unsupported schema version {version}")
@@ -186,10 +191,7 @@ def parse_problem(data: Any, path: str = "$") -> LoadedProblem:
     quantifiers: list[Quantifier] = []
     for i, item in enumerate(blocks_raw):
         bpath = f"{path}.blocks[{i}]"
-        obj = _obj(item, bpath)
-        _no_extra_keys(obj, {"quantifier"}, bpath)
-        if "quantifier" not in obj:
-            raise SchemaError(bpath, "missing required key 'quantifier'")
+        obj = _fields(item, bpath, ("quantifier",))
         q = _str(obj["quantifier"], f"{bpath}.quantifier")
         if q not in ("forall", "exists"):
             raise SchemaError(f"{bpath}.quantifier", f"expected 'forall' or 'exists', got {q!r}")
@@ -204,11 +206,7 @@ def parse_problem(data: Any, path: str = "$") -> LoadedProblem:
     seen_names: set[str] = set()
     for i, item in enumerate(vars_raw):
         vpath = f"{path}.variables[{i}]"
-        obj = _obj(item, vpath)
-        _no_extra_keys(obj, {"name", "domain", "center", "block"}, vpath)
-        for key in ("name", "domain", "block"):
-            if key not in obj:
-                raise SchemaError(vpath, f"missing required key '{key}'")
+        obj = _fields(item, vpath, ("name", "domain", "block"), ("center",))
         name = _name(obj["name"], f"{vpath}.name")
         if name in seen_names:
             raise SchemaError(f"{vpath}.name", f"duplicate variable name {name!r}")
@@ -255,11 +253,7 @@ def parse_problem(data: Any, path: str = "$") -> LoadedProblem:
     out_names: set[str] = set()
     for i, item in enumerate(outputs_raw):
         opath = f"{path}.outputs[{i}]"
-        obj = _obj(item, opath)
-        _no_extra_keys(obj, {"name", "expr"}, opath)
-        for key in ("name", "expr"):
-            if key not in obj:
-                raise SchemaError(opath, f"missing required key '{key}'")
+        obj = _fields(item, opath, ("name", "expr"))
         name = _name(obj["name"], f"{opath}.name")
         if name in out_names:
             raise SchemaError(f"{opath}.name", f"duplicate output name {name!r}")
@@ -301,11 +295,7 @@ def _parse_contributions(
             rpath = f"{opath}.{var_name}"
             if var_name not in var_names:
                 raise SchemaError(rpath, f"unknown variable {var_name!r}")
-            row_obj = _obj(row_raw, rpath)
-            _no_extra_keys(row_obj, {"I", "O"}, rpath)
-            for key in ("I", "O"):
-                if key not in row_obj:
-                    raise SchemaError(rpath, f"missing required key '{key}'")
+            row_obj = _fields(row_raw, rpath, ("I", "O"))
             inner = _interval(row_obj["I"], f"{rpath}.I")
             outer = _interval(row_obj["O"], f"{rpath}.O")
             try:
@@ -328,8 +318,7 @@ def _parse_options(data: Any, problem: QuantifiedProblem, path: str) -> SolveOpt
     options = SolveOptions()
     if data is None:
         return options
-    obj = _obj(data, path)
-    _no_extra_keys(obj, {"pi", "exhaustive_limit", "sampling"}, path)
+    obj = _fields(data, path, (), ("pi", "exhaustive_limit", "sampling"))
     if "pi" in obj:
         pi_obj = _obj(obj["pi"], f"{path}.pi")
         out_names = {o.name for o in problem.outputs}
@@ -358,8 +347,7 @@ def _parse_options(data: Any, problem: QuantifiedProblem, path: str) -> SolveOpt
         options.exhaustive_limit = limit
     if "sampling" in obj:
         spath = f"{path}.sampling"
-        sobj = _obj(obj["sampling"], spath)
-        _no_extra_keys(sobj, {"points", "enabled", "budget"}, spath)
+        sobj = _fields(obj["sampling"], spath, (), ("points", "enabled", "budget"))
         if "points" in sobj:
             points = _int(sobj["points"], f"{spath}.points")
             if points < 2:

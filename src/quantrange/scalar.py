@@ -107,6 +107,11 @@ class ContributionRow:
             raise ValueError(f"inner contribution must contain 0, got {self.inner!r}")
         if not (self.outer.lo <= 0.0 <= self.outer.hi):
             raise ValueError(f"outer contribution must contain 0, got {self.outer!r}")
+        if not (self.outer.lo <= self.inner.lo and self.inner.hi <= self.outer.hi):
+            raise ValueError(
+                f"inner contribution {self.inner!r} must lie inside "
+                f"outer contribution {self.outer!r}"
+            )
 
 
 _ZERO_IV = Interval(0.0, 0.0)
@@ -220,10 +225,10 @@ class RowModel:
     Outer bound, with every existential kept: universal rows are credited
     their inner rows and existential rows charged their outer rows, under
     the same conditions with the roles of the widths swapped.  When one
-    fails, the bound falls back to fc + the sum of the outer rows of
-    fallback_names (the mean-value enclosure).  An exact model, one built
-    without fallback names, reports the empty set instead, and no failing
-    pair.
+    fails, the bound falls back to the mean-value enclosure fc + the sum of
+    every outer row.  As every variable sits in exactly one block, that is
+    the all-demoted inner box with its endpoints swapped: [hi, lo].  An
+    exact model reports the empty set instead, and no failing pair.
 
     An affine output fits the same model exactly, with fc = [const, const]
     and, for each variable, il = ol = -r and ih = oh = r, where const is the
@@ -234,7 +239,7 @@ class RowModel:
 
     __slots__ = (
         "exact", "denom", "lo", "hi", "slack", "deltas", "pair_masks",
-        "outer_sums", "outer_slack", "fallback", "inner_widths", "universal_width",
+        "outer_sums", "outer_slack", "inner_widths", "universal_width",
     )
 
     def __init__(
@@ -243,9 +248,9 @@ class RowModel:
         scaled_fc: tuple[int, int],
         scaled: Mapping[str, _ScaledRow],
         pairs: Sequence[tuple[Block, Block]],
-        fallback_names: Sequence[str] | None,
+        exact: bool,
     ) -> None:
-        self.exact = fallback_names is None
+        self.exact = exact
         fl, fh = scaled_fc
         self.denom = denom
         self.lo, self.hi = fh, fl
@@ -274,10 +279,6 @@ class RowModel:
             self.outer_slack.append(out_slack)
             self.pair_masks.append(mask)
         self.outer_sums = out_lo, out_hi
-        self.fallback = None
-        if not self.exact:
-            every = [scaled.get(v, _ZERO_SCALED) for v in fallback_names]
-            self.fallback = fl + sum(r[2] for r in every), fh + sum(r[3] for r in every)
 
     @property
     def keep_all(self) -> int:
@@ -321,7 +322,7 @@ class RowModel:
         elif self.exact:
             return EMPTY, failed + 1
         else:
-            lo, hi = self.fallback
+            lo, hi = self.hi, self.lo
         outer = Interval(round_ratio(lo, self.denom, False), round_ratio(hi, self.denom, True))
         return outer, None if failed is None else failed + 1
 
@@ -339,24 +340,22 @@ def _mean_value_model(
     fc: Interval,
     rows: Mapping[str, ContributionRow],
     pairs: Sequence[tuple[Block, Block]],
-    all_names: Sequence[str],
 ) -> RowModel:
     scaled = {
         name: tuple(map(_scaled_float, (r.inner.lo, r.inner.hi, r.outer.lo, r.outer.hi)))
         for name, r in rows.items()
     }
     fc_scaled = _scaled_float(fc.lo), _scaled_float(fc.hi)
-    return RowModel(_FLOAT_DENOM, fc_scaled, scaled, pairs, all_names)
+    return RowModel(_FLOAT_DENOM, fc_scaled, scaled, pairs, False)
 
 
 def assemble_bounds(
     fc: Interval,
     rows: Mapping[str, ContributionRow],
     pairs: Sequence[tuple[Block, Block]],
-    all_names: Sequence[str],
 ) -> ScalarResult:
     """Pairwise inner/outer assembly from contribution rows (exact)."""
-    model = _mean_value_model(fc, rows, pairs, all_names)
+    model = _mean_value_model(fc, rows, pairs)
     return model.result(model.keep_all)
 
 
@@ -484,7 +483,7 @@ def _affine_model(affine: _AffinePair, problem: QuantifiedProblem) -> RowModel:
             point += n * (hi + lo)
             r = abs(n) * (hi - lo)
             scaled[spec.name] = (-r, r, -r, r)
-    return RowModel(q << 1075, (point, point), scaled, problem.normalized_pairs(), None)
+    return RowModel(q << 1075, (point, point), scaled, problem.normalized_pairs(), True)
 
 
 def exact_affine_range(
@@ -532,8 +531,7 @@ def prepare(
             return _affine_model(affine, problem)
     fc = eval_interval(tape, problem.center_env())
     rows = contribution_rows(tape, problem) if supplied_rows is None else supplied_rows
-    names = [v.name for v in problem.variables]
-    return _mean_value_model(fc, rows, problem.normalized_pairs(), names)
+    return _mean_value_model(fc, rows, problem.normalized_pairs())
 
 
 def solve_scalar(

@@ -45,7 +45,7 @@ from typing import Callable, Mapping, Sequence
 # traces them under these names and aborts when one is missing.
 from .exprs import eval_interval
 from .intervals import DivisionByZeroInterval, MaybeInterval, is_empty
-from .problem import Block, QuantifiedProblem, Quantifier
+from .problem import QuantifiedProblem, existential_order
 from .scalar import (
     ContributionRow,
     RowModel,
@@ -62,8 +62,6 @@ __all__ = [
     "OutputError",
     "ComponentResult",
     "VectorResult",
-    "existential_order",
-    "derived_blocks",
     "solve_vector",
 ]
 
@@ -95,29 +93,6 @@ class VectorResult:
     @property
     def inner_empty(self) -> bool:
         return any(is_empty(c.inner) for c in self.components)
-
-
-def existential_order(problem: QuantifiedProblem) -> tuple[str, ...]:
-    """Existential variables in normalized-prefix order (the canonical order
-    for assignment vectors)."""
-    names: list[str] = []
-    for block in problem.normalized():
-        if block.quantifier is Quantifier.EXISTS:
-            names.extend(block.names)
-    return tuple(names)
-
-
-def derived_blocks(
-    problem: QuantifiedProblem, component: int, assignment: Mapping[str, int]
-) -> tuple[Block, ...]:
-    """Prefix rewrite for one component under an existential assignment."""
-    out: list[Block] = []
-    for fa, ex in problem.normalized_pairs():
-        moved = tuple(n for n in ex.names if assignment[n] != component)
-        kept = tuple(n for n in ex.names if assignment[n] == component)
-        out.append(Block(Quantifier.FORALL, fa.names + moved))
-        out.append(Block(Quantifier.EXISTS, kept))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,6 @@ from quantrange.scalar import (
     ScalarResult,
     contribution_rows,
 )
-from quantrange.vectorsolve import derived_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -1100,6 +1099,21 @@ def oracle_inner(
         return oracle_inner_bounds(prepared.fc, prepared.rows, problem.normalized_pairs())
     exact = oracle_exact_affine_range(*prepared.affine, problem)
     return (EMPTY if exact is None else _inward(*exact)), None
+
+
+def derived_blocks(
+    problem: QuantifiedProblem, component: int, assignment: Mapping[str, int]
+) -> tuple[Block, ...]:
+    """The prefix rewrite for one component under an existential assignment:
+    each existential assigned elsewhere is demoted to the universal block of
+    its pair, after the pair's universals."""
+    out: list[Block] = []
+    for fa, ex in problem.normalized_pairs():
+        moved = tuple(n for n in ex.names if assignment[n] != component)
+        kept = tuple(n for n in ex.names if assignment[n] == component)
+        out.append(Block(Quantifier.FORALL, fa.names + moved))
+        out.append(Block(Quantifier.EXISTS, kept))
+    return tuple(out)
 
 
 def oracle_exhaustive_assignment(

@@ -283,6 +283,19 @@ class TestInputErrors:
         path = write_problem({"schema": 1})
         self.check_exit_3(capsys, ["solve", path], "missing required key")
 
+    def test_supplied_inner_row_outside_its_outer_row(self, capsys, write_problem):
+        path = write_problem(
+            {
+                "schema": 1,
+                "blocks": [{"quantifier": "exists"}],
+                "variables": [{"name": "e", "block": 0, "domain": [-1, 1]}],
+                "outputs": [{"name": "z", "expr": "e"}],
+                "contributions": {"z": {"e": {"I": [-2, 2], "O": [-1, 1]}}},
+            }
+        )
+        err = self.check_exit_3(capsys, ["solve", path], "must lie inside")
+        assert err.startswith(f"error: {path}: $.contributions.z.e: inner contribution")
+
     def test_sampling_budget_refusal(self, tmp_path, capsys):
         path = tmp_path / "motion10.json"
         path.write_text(

@@ -4,9 +4,13 @@ supplied contribution rows, solver options, and serialization round-trips."""
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quantrange
 from quantrange.benchgen import linear_problem, motion_problem
 from quantrange.exprs import ParseError
 from quantrange.intervals import Interval
@@ -253,6 +257,12 @@ class TestContributionsSchema:
         err = expect_error(doc, DomainError, "$.contributions.f.x")
         assert "contain 0" in str(err)
 
+    def test_inner_row_must_lie_inside_outer_row(self):
+        doc = with_contributions()
+        doc["contributions"]["f"]["y"]["I"] = [-1, 2]
+        err = expect_error(doc, DomainError, "$.contributions.f.y")
+        assert "must lie inside" in str(err)
+
     def test_rows_must_cover_expression_variables(self):
         doc = with_contributions()
         del doc["contributions"]["f"]["y"]
@@ -387,3 +397,22 @@ class TestRoundTrip:
     def test_centers_are_always_written(self):
         doc = problem_to_json(linear_problem(1, seed=0))
         assert all("center" in v for v in doc["variables"])
+
+
+def test_loading_a_file_loads_no_solver():
+    """problemfile reads the existential order from the problem module, so
+    a fresh interpreter that imports it loads no vectorsolve.  The package
+    root imports every module, so the child imports problemfile under a
+    bare package object that skips the root's __init__."""
+    code = (
+        "import sys, types\n"
+        "pkg = types.ModuleType('quantrange')\n"
+        f"pkg.__path__ = [{str(Path(quantrange.__file__).parent)!r}]\n"
+        "sys.modules['quantrange'] = pkg\n"
+        "import quantrange.problemfile\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('quantrange.'))))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded = proc.stdout.split()
+    assert "quantrange.problemfile" in loaded
+    assert "quantrange.vectorsolve" not in loaded

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from quantrange import scalar
 from quantrange.benchgen import linear_problem
 from quantrange.exprs import eval_grad, eval_interval, parse
-from quantrange.intervals import EMPTY, Interval, is_empty
+from quantrange.intervals import EMPTY, Interval, add_down, add_up, is_empty
 from quantrange.problem import Block, Output, QuantifiedProblem, Quantifier, VariableSpec
 from quantrange.problemfile import load_problem
 from quantrange.scalar import (
@@ -71,6 +71,12 @@ class TestContributionRow:
             ContributionRow(Interval(0.5, 1.0), Interval(-2.0, 2.0))
         with pytest.raises(ValueError):
             ContributionRow(Interval(-1.0, 1.0), Interval(-2.0, -0.5))
+
+    def test_inner_row_must_lie_inside_outer_row(self):
+        ContributionRow(Interval(-1.0, 1.0), Interval(-1.0, 1.0))
+        for inner in (Interval(-2.0, 2.0), Interval(-1.5, 0.5), Interval(0.0, 1.0 + 2**-52)):
+            with pytest.raises(ValueError, match="must lie inside"):
+                ContributionRow(inner, Interval(-1.0, 1.0))
 
     def test_zero_row(self):
         assert ZERO_ROW.inner == Interval(0.0, 0.0)
@@ -152,12 +158,17 @@ def _check_rows_against_exact_deviations(problem):
     """Each row against the exact deviations lo - c and hi - c, in
     Fractions: the outer row holds g * d at every corner of the gradient
     enclosure g and the deviations d, and the inner row lies inside
-    mig(g) times the deviations, signed by the gradient."""
+    mig(g) times the deviations, signed by the gradient.  The radii
+    themselves, c - lo and hi - c rounded up for the outer row and down
+    for the inner one, bracket the exact deviations."""
     tape = problem.outputs[0].expr
     grad = eval_grad(tape, problem.domains())
     rows = contribution_rows(tape, problem)
     for spec in problem.variables:
         g, row = grad.partials[spec.name], rows[spec.name]
+        for a, b in ((spec.center, -spec.domain.lo), (spec.domain.hi, -spec.center)):
+            exact = Fraction(a) + Fraction(b)
+            assert Fraction(add_up(a, b)) >= exact >= Fraction(add_down(a, b)) >= 0
         c = Fraction(spec.center)
         d_lo, d_hi = Fraction(spec.domain.lo) - c, Fraction(spec.domain.hi) - c
         corners = [Fraction(s) * d for s in (g.lo, g.hi) for d in (d_lo, d_hi)]
@@ -200,7 +211,7 @@ class TestAssembleBounds:
         fc = Interval(10.0, 11.0)
         rows = {"x": _row(-2.0, 3.0, -2.0, 3.0)}
         pairs = ((_b(FA), _b(EX, "x")),)
-        got = assemble_bounds(fc, rows, pairs, ["x"])
+        got = assemble_bounds(fc, rows, pairs)
         # inner must hold for every center value in [10, 11]
         assert got.inner == Interval(9.0, 13.0)
         assert got.outer == Interval(8.0, 14.0)
@@ -210,7 +221,7 @@ class TestAssembleBounds:
         fc = Interval(0.0, 0.0)
         rows = {"u": _row(0.0, 0.0, -1.0, 1.0), "x": _row(-1.0, 1.0, -1.0, 1.0)}
         pairs = ((_b(FA, "u"), _b(EX, "x")),)
-        got = assemble_bounds(fc, rows, pairs, ["u", "x"])
+        got = assemble_bounds(fc, rows, pairs)
         assert got.inner == Interval(0.0, 0.0)
         assert got.inner_failed_pair is None
 
@@ -219,7 +230,7 @@ class TestAssembleBounds:
         fc = Interval(0.0, 0.0)
         rows = {"u": _row(0.0, 0.0, -1.0 - eps, 1.0), "x": _row(-1.0, 1.0, -1.0, 1.0)}
         pairs = ((_b(FA, "u"), _b(EX, "x")),)
-        got = assemble_bounds(fc, rows, pairs, ["u", "x"])
+        got = assemble_bounds(fc, rows, pairs)
         assert is_empty(got.inner)
         assert got.inner_failed_pair == 1
 
@@ -227,7 +238,7 @@ class TestAssembleBounds:
         fc = Interval(0.0, 0.0)
         rows = {"x": _row(-3.0, 3.0, -3.0, 3.0), "u": _row(0.0, 0.0, -2.0, 2.0)}
         pairs = ((_b(FA), _b(EX, "x")), (_b(FA, "u"), _b(EX)))
-        got = assemble_bounds(fc, rows, pairs, ["x", "u"])
+        got = assemble_bounds(fc, rows, pairs)
         assert is_empty(got.inner)
         assert got.inner_failed_pair == 2
         # outer is fine: trailing universal block is credited inward
@@ -238,7 +249,7 @@ class TestAssembleBounds:
         fc = Interval(0.0, 0.0)
         rows = {"u": _row(-3.0, 3.0, -3.0, 3.0), "x": _row(-1.0, 1.0, -1.0, 1.0)}
         pairs = ((_b(FA, "u"), _b(EX, "x")),)
-        got = assemble_bounds(fc, rows, pairs, ["u", "x"])
+        got = assemble_bounds(fc, rows, pairs)
         assert got.outer == Interval(-4.0, 4.0)
         assert got.outer_failed_pair == 1
         assert is_empty(got.inner) and got.inner_failed_pair == 1
@@ -247,7 +258,7 @@ class TestAssembleBounds:
         fc = Interval(0.0, 10.0)
         rows = {"x": _row(-1.0, 1.0, -1.0, 1.0)}
         pairs = ((_b(FA), _b(EX, "x")),)
-        got = assemble_bounds(fc, rows, pairs, ["x"])
+        got = assemble_bounds(fc, rows, pairs)
         assert is_empty(got.inner)
         assert got.inner_failed_pair is None
         assert got.outer == Interval(-1.0, 11.0)
@@ -256,7 +267,7 @@ class TestAssembleBounds:
         fc = Interval(1.0, 1.0)
         rows = {"x": _row(-1.0, 1.0, -1.0, 1.0)}
         pairs = ((_b(FA, "u"), _b(EX, "x")),)
-        got = assemble_bounds(fc, rows, pairs, ["u", "x"])
+        got = assemble_bounds(fc, rows, pairs)
         assert got.inner == Interval(0.0, 2.0)
         assert got.outer == Interval(0.0, 2.0)
 
@@ -274,7 +285,7 @@ def _assembled_failing_pair(forall, exists):
         rows[f"u{l}"] = _row(0.0, 0.0, 0.0, float(f))
         rows[f"e{l}"] = _row(0.0, float(e), 0.0, float(e))
         pairs.append((_b(FA, f"u{l}"), _b(EX, f"e{l}")))
-    return assemble_bounds(Interval(0.0, 0.0), rows, pairs, list(rows)).inner_failed_pair
+    return assemble_bounds(Interval(0.0, 0.0), rows, pairs).inner_failed_pair
 
 
 # Dyadic widths are exact as float rows.

@@ -13,20 +13,26 @@ from hypothesis import given, settings, strategies as st
 from quantrange import scalar, vectorsolve
 from quantrange.exprs import parse, to_text
 from quantrange.intervals import EMPTY, Interval, is_empty
-from quantrange.problem import Block, Output, QuantifiedProblem, Quantifier, VariableSpec
+from quantrange.problem import (
+    Block,
+    Output,
+    QuantifiedProblem,
+    Quantifier,
+    VariableSpec,
+    existential_order,
+)
 from quantrange.problemfile import load_problem
 from quantrange.scalar import ContributionRow, contribution_rows, prepare, solve_scalar
 from quantrange.vectorsolve import (
     ComponentResult,
     OutputError,
-    derived_blocks,
-    existential_order,
     solve_vector,
 )
 
 from conftest import FIXTURES
 from helpers import (
     ZERO_ROW,
+    derived_blocks,
     oracle_assemble,
     oracle_exhaustive_assignment,
     oracle_greedy_assignment,
