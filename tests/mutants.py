@@ -6,11 +6,12 @@ the gate copies src/ to a temporary directory, applies the edit there, and
 runs the listed test files against the copy with -x.  A mutant is killed
 when some test fails.  The gate exits non-zero when a mutant survives, when
 its old text no longer occurs exactly once in its file (the line moved or
-changed: update the entry), or when its test run errors out instead of
-failing.  A change to a listed line updates that line's entry.
+changed: update the entry), when its test run errors out instead of
+failing, or when its test run outlasts TIMEOUT_S (a mutant that makes a loop
+run forever is not counted as killed).  A change to a listed line updates
+that line's entry.
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py 3 12       # only these, by number
+    python tests/mutants.py
 
 Pytest does not collect this file; it is not part of the test suite.
 (Mutation analysis: DeMillo, Lipton & Sayward, IEEE Computer 11(4), 1978.)
@@ -27,6 +28,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# Per mutant; the slowest test run measured about 9 s on a 2-vCPU host.
+TIMEOUT_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -135,7 +138,7 @@ MUTANTS = (
 
 def run(mutant: Mutant, workdir: Path) -> tuple[str, str]:
     """(verdict, detail): "killed" with the first failing test, "survived",
-    or "stale"/"error" with the reason."""
+    or "stale"/"error"/"timeout" with the reason."""
     src = workdir / "src"
     if src.exists():
         shutil.rmtree(src)
@@ -145,15 +148,19 @@ def run(mutant: Mutant, workdir: Path) -> tuple[str, str]:
     if text.count(mutant.old) != 1:
         return "stale", f"old text occurs {text.count(mutant.old)} times in {mutant.file}"
     path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-            "-o", f"pythonpath={src}", *mutant.tests,
-        ],
-        cwd=ROOT,
-        capture_output=True,
-        text=True,
-    )
+    try:
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                "-o", f"pythonpath={src}", *mutant.tests,
+            ],
+            cwd=ROOT,
+            capture_output=True,
+            text=True,
+            timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return "timeout", f"no result within {TIMEOUT_S:g} s"
     if proc.returncode == 0:
         return "survived", ""
     failed = [line for line in proc.stdout.splitlines() if line.startswith("FAILED ")]
@@ -162,13 +169,11 @@ def run(mutant: Mutant, workdir: Path) -> tuple[str, str]:
     return "error", f"pytest exit {proc.returncode}: {proc.stdout.strip().splitlines()[-1:]}"
 
 
-def main(argv: list[str]) -> int:
-    chosen = [int(a) for a in argv] or range(1, len(MUTANTS) + 1)
+def main() -> int:
     bad = 0
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="quantrange-mutants-") as tmp:
-        for number in chosen:
-            mutant = MUTANTS[number - 1]
+        for number, mutant in enumerate(MUTANTS, 1):
             t0 = time.perf_counter()
             verdict, detail = run(mutant, Path(tmp))
             bad += verdict != "killed"
@@ -177,9 +182,9 @@ def main(argv: list[str]) -> int:
                 f"{mutant.name}: {detail}",
                 flush=True,
             )
-    print(f"{len(chosen) - bad} of {len(chosen)} killed in {time.perf_counter() - start:.1f} s")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} killed in {time.perf_counter() - start:.1f} s")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
