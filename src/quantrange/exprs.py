@@ -492,6 +492,12 @@ def eval_interval(tape: Tape, env: Mapping[str, Interval]) -> Interval:
     return vals[-1]
 
 
+def _msin_point(u: float, v: float) -> float:
+    """msin at one point, in plain float arithmetic (eval_point and the
+    sampler's column sweeps)."""
+    return math.cos(u) if v == 0.0 else (math.sin(u + v) - math.sin(u)) / v
+
+
 def eval_point(tape: Tape, env: Mapping[str, float]) -> float:
     """Plain float evaluation (used by the sampling estimator)."""
     vals: list[float] = []
@@ -521,8 +527,7 @@ def eval_point(tape: Tape, env: Mapping[str, float]) -> float:
         elif op == COS:
             push(math.cos(vals[a]))
         else:
-            u, v = vals[a], vals[b]
-            push(math.cos(u) if v == 0.0 else (math.sin(u + v) - math.sin(u)) / v)
+            push(_msin_point(vals[a], vals[b]))
     return vals[-1]
 
 

@@ -127,6 +127,34 @@ MUTANTS = (
         ("tests/test_intervals.py",),
     ),
     Mutant(
+        "iv_div: wrong lower corner for b < 0, a straddling 0",
+        "intervals.py",
+        "return _interval(div_down(ah, bh), div_up(al, bh))",
+        "return _interval(div_down(ah, bl), div_up(al, bh))",
+        ("tests/test_intervals.py",),
+    ),
+    Mutant(
+        "msin value enclosed over u + v alone, not hull(u, u + v)",
+        "exprs.py",
+        "h = iv_hull(u, iv_add(u, v))",
+        "h = iv_add(u, v)",
+        ("tests/test_exprs.py",),
+    ),
+    Mutant(
+        "sampler column folded without the level's running range",
+        "sampling.py",
+        "top.lo = min(top.lo, *col)",
+        "top.lo = min(col)",
+        ("tests/test_sampling.py",),
+    ),
+    Mutant(
+        "sampler stage tag one block too shallow",
+        "sampling.py",
+        "name: (k + 1, i) for k, block",
+        "name: (k, i) for k, block",
+        ("tests/test_sampling.py",),
+    ),
+    Mutant(
         "branch-and-bound prunes only a strictly worse subtree",
         "vectorsolve.py",
         "if bound <= best:",

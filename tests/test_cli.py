@@ -407,6 +407,29 @@ class TestInputErrors:
         )
         assert detail in err
 
+    def test_sampling_failure_in_an_outer_stage(self, capsys, write_problem):
+        # 1/a reads only the outer block, so it fails in that block's stage
+        # at the grid point a = 0, before any column of x is swept
+        row = {"I": [0, 0], "O": [-1, 1]}
+        path = write_problem(
+            {
+                "schema": 1,
+                "blocks": [{"quantifier": "forall"}, {"quantifier": "exists"}],
+                "variables": [
+                    {"name": "a", "block": 0, "domain": [-1, 1], "center": 0.5},
+                    {"name": "x", "block": 1, "domain": [0, 1], "center": 0},
+                ],
+                "outputs": [{"name": "g", "expr": "1/a + x"}],
+                "contributions": {"g": {"a": row, "x": row}},
+            }
+        )
+        err = self.check_exit_3(
+            capsys,
+            ["solve", path, "--sample", "points=3"],
+            f"error: {path}: sampling evaluation failed: ",
+        )
+        assert "division by zero" in err
+
     @pytest.mark.parametrize(
         "exponent", ["1025", "1000000000", "9" * 5000], ids=["1025", "1e9", "5000-digits"]
     )

@@ -105,7 +105,11 @@ def problem_files(draw):
     }
     if supplied:
         doc["contributions"] = supplied
-    flags = draw(st.sampled_from([[], ["--sample", "points=2"], ["--pi", "greedy"]]))
+    flags = draw(
+        st.sampled_from(
+            [[], ["--sample", "points=2"], ["--sample", "points=3"], ["--pi", "greedy"]]
+        )
+    )
     return doc, flags
 
 

@@ -29,10 +29,12 @@ from quantrange.vectorsolve import solve_vector
 
 from conftest import FIXTURES
 from helpers import (
+    _oracle_estimate,
     contains,
     make_affine_problem,
     make_random_problem,
     oracle_sampling_estimate,
+    tree_of,
     vertex_oracle_affine,
 )
 
@@ -75,10 +77,11 @@ class TestSamplingConfig:
         assert work_digits(p, 10) == 2.0
 
 
-def test_one_tape_per_output_and_one_sweep_per_leaf(monkeypatch):
-    """Each of the 41^3 grid points is one eval_point call on the output's
-    tape, which the sampler uses as loaded."""
-    calls = {"eval_point": 0}
+def test_one_tape_per_output_and_one_column_sweep_per_outer_assignment(monkeypatch):
+    """On the 41^3 grid the sampler sweeps the innermost variable's column
+    once per assignment of the outer two variables, 41^2 times, and never
+    sweeps the whole tape at a grid point."""
+    calls = {"eval_point": 0, "column": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -88,12 +91,13 @@ def test_one_tape_per_output_and_one_sweep_per_leaf(monkeypatch):
         return wrapper
 
     for module in (exprs_mod, sampling_mod):
-        for name in calls:
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        monkeypatch.setattr(module, "eval_point", counted("eval_point", module.eval_point))
+    stages = sampling_mod._Stages
+    monkeypatch.setattr(stages, "column", counted("column", stages.column))
     loaded = load_problem(str(FIXTURES / "nonlinear_scalar.json"))
     (got,) = sampling_estimate(loaded.problem, 41)
     assert got == Interval(6.0, 16.25)
-    assert calls == {"eval_point": 41**3}
+    assert calls == {"eval_point": 0, "column": 41**2}
 
 
 class TestGrids:
@@ -241,6 +245,72 @@ class TestEstimateValues:
         p = _problem(expr_text, var_specs, blocks)
         got = sampling_estimate(p, 2)
         assert repr(got) == repr(oracle_sampling_estimate(p, 2)) == repr((want,))
+
+
+# Cases where folding a column differs from folding its grid points one by
+# one unless the fold is seeded with the level's running range and keeps
+# grid order, or where a slot's stage is not the innermost one.
+FOLD_TRAPS = {
+    # [nan, ..., 0.0]: min(column) would be nan; the running fold skips it
+    "nan first, exists": ("x*1e308*10 - x*1e308*10", [("x", -1.0, 0.0, 0.0)], [_b(EX, "x")]),
+    "nan first, forall": ("x*1e308*10 - x*1e308*10", [("x", -1.0, 0.0, 0.0)], [_b(FA, "x")]),
+    # 0.0 and -0.0 tie: the first in grid order is kept
+    "signed zeros, exists": ("-(x*0)", [("x", -1.0, 1.0, 0.0)], [_b(EX, "x")]),
+    "signed zeros, forall": ("-(x*0)", [("x", -1.0, 1.0, 0.0)], [_b(FA, "x")]),
+    "signed product, exists": (
+        "y*x",
+        [("x", -1.0, 1.0, 0.0), ("y", -1.0, 1.0, 0.0)],
+        [_b(FA, "y"), _b(EX, "x")],
+    ),
+    "signed product, forall": (
+        "y*x",
+        [("x", -1.0, 1.0, 0.0), ("y", -1.0, 1.0, 0.0)],
+        [_b(EX, "y"), _b(FA, "x")],
+    ),
+    # the root reads no innermost variable: each a gives {a + 2}
+    "root above the column": (
+        "a + 2",
+        [("a", 0.0, 1.0, 0.5), ("x", -1.0, 1.0, 0.0)],
+        [_b(FA, "a"), _b(EX, "x")],
+    ),
+    "point-domain innermost block": (
+        "a*x + x",
+        [("a", -1.0, 1.0, 0.0), ("x", 0.5, 0.5, 0.5)],
+        [_b(FA, "a"), _b(EX, "x")],
+    ),
+    "two-variable innermost block": (
+        "a + sin(x)*y - x",
+        [("a", 0.0, 1.0, 0.5), ("x", -1.0, 1.0, 0.0), ("y", -2.0, 0.0, -1.0)],
+        [_b(FA, "a"), _b(EX, "x", "y")],
+    ),
+    "no variables in the output": (
+        "2 + 3",
+        [("a", 0.0, 1.0, 0.5), ("x", -1.0, 1.0, 0.0)],
+        [_b(FA, "a"), _b(EX, "x")],
+    ),
+}
+FOLD_WANT = {
+    "nan first, exists": Interval(0.0, 0.0),
+    "nan first, forall": Interval(0.0, 0.0),
+    "root above the column": EMPTY,
+    "no variables in the output": Interval(5.0, 5.0),
+}
+
+
+@pytest.mark.parametrize("points", [2, 3, 5])
+@pytest.mark.parametrize("case", sorted(FOLD_TRAPS))
+def test_column_folds_match_the_recursive_oracle(case, points):
+    p = _problem(*FOLD_TRAPS[case])
+    got = sampling_estimate(p, points)
+    assert repr(got) == repr(oracle_sampling_estimate(p, points))
+    if case in FOLD_WANT:
+        assert got == (FOLD_WANT[case],)
+    # Interval turns -0.0 into 0.0, so compare the raw ranges for the
+    # zero that each fold keeps
+    tape, blocks = p.outputs[0].expr, p.normalized()
+    grids = {v.name: _grid(v.domain, points) for v in p.variables}
+    raw = sampling_mod._estimate_component(tape, blocks, grids)
+    assert repr(raw) == repr(_oracle_estimate(tree_of(tape), blocks, grids, {}, 0))
 
 
 class TestVertexOracle:
