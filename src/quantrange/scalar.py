@@ -27,7 +27,9 @@ Affine expressions take an exact path instead: after rescaling each domain
 to [-1, 1], per-block coefficient norms decide emptiness and give the
 quantified range exactly, with the same alternation condition.  For affine
 f the inner and outer results coincide, and neither the center value nor
-the gradient is computed.
+the gradient is computed.  The constant and the coefficients come from a
+dyadic integer fold (every float literal is m * 2**e for integers m and
+e), with a Fraction fallback for non-power-of-two divisors.
 
 Both routes are one integer assembly (RowModel): every endpoint is an
 exact multiple of a common unit, so the sums and the validity conditions
@@ -364,29 +366,45 @@ def assemble_bounds(
 # ---------------------------------------------------------------------------
 
 
-_AffinePair = tuple[Fraction, dict[str, Fraction]]
+# An affine form over one denominator q: (n0, {var: n}, q) stands for
+# n0/q + sum of n/q * var, with q the lcm of the terms' denominators.
+_Affine = tuple[int, dict[str, int], int]
+
+# A folded value m * 2**e, m odd or 0 (and then e = 0): every float literal
+# is one, and so is every sum, product and quotient by +-2**k of them.
+_Dyadic = tuple[int, int]
+_DyadicPair = tuple[_Dyadic, dict[str, _Dyadic]]
+_ZERO: _Dyadic = (0, 0)
+_ONE: _Dyadic = (1, 0)
+
+_FractionPair = tuple[Fraction, dict[str, Fraction]]
 
 # A folded constant or coefficient beyond this many bits (numerator or
-# denominator) is left to interval evaluation, so neither nested powers
-# such as (c^1024)^1024 nor long products or sums of large constants can
-# grow a rational without bound.
+# denominator, in lowest terms) is left to interval evaluation, so neither
+# nested powers such as (c^1024)^1024 nor long products or sums of large
+# constants can grow a rational without bound.
 _MAX_FOLD_BITS = 1 << 16
 
 _TRIG_OPS = frozenset((SIN, COS, MSIN))
 
 
-def _too_big(x: Fraction) -> bool:
-    return x.numerator.bit_length() > _MAX_FOLD_BITS or x.denominator.bit_length() > _MAX_FOLD_BITS
+class _NotDyadic(Exception):
+    """A quotient by a constant other than +-2**k: its value is not dyadic."""
 
 
-def affine_coefficients(tape: Tape) -> _AffinePair | None:
-    """Exact (constant, {var: coefficient}) when the expression is affine,
-    else None.
+def affine_coefficients(tape: Tape) -> _Affine | None:
+    """Exact (n0, {var: n}, q) when the expression is affine, else None:
+    the constant n0/q and the coefficients n/q, as integer numerators over
+    their least common denominator q.
 
-    Constant subtrees are folded in exact rational arithmetic; a folded
-    constant or coefficient beyond _MAX_FOLD_BITS makes the expression
-    non-affine, which leaves it to the mean-value route.  Any trigonometric
-    node disqualifies the expression, as its value has no exact rational form.
+    Constant subtrees are folded exactly by a dyadic integer fold, with a
+    Fraction fallback for non-power-of-two divisors: each value is m * 2**e,
+    a sum shifts to the smaller exponent, a product adds exponents, and a
+    quotient by +-2**k subtracts k; the first quotient by any other
+    constant refolds the tape in Fractions.  A folded constant or
+    coefficient beyond _MAX_FOLD_BITS makes the expression non-affine,
+    which leaves it to the mean-value route.  Any trigonometric node
+    disqualifies the expression, as its value has no exact rational form.
     Non-affinity reaches the root through every node except a power with
     exponent 0, so a tape with a trigonometric node and no such power is
     rejected without folding anything.
@@ -396,17 +414,142 @@ def affine_coefficients(tape: Tape) -> _AffinePair | None:
     if not ops.isdisjoint(_TRIG_OPS) and not any(op == POW and b == 0 for op, _, b in code):
         return None
     readers = tape.readers
-    done: list[_AffinePair | None] = []
-    for op, a, b in code:
-        done.append(_affine_step(op, a, b, done, readers))
-    return done[-1]
+    done: list[_DyadicPair | None] = []
+    try:
+        for op, a, b in code:
+            done.append(_affine_step(op, a, b, done, readers))
+    except _NotDyadic:
+        return _fraction_fold(tape)
+    if done[-1] is None:
+        return None
+    (m, e), lin = done[-1]
+    k = max(0, -e, *(-f for _, f in lin.values()))  # q = 2**k; a zero has e = 0
+    return m << (e + k), {name: n << (f + k) for name, (n, f) in lin.items()}, 1 << k
+
+
+def _dyadic(x: float) -> _Dyadic:
+    """x as m * 2**e (both zeros as 0)."""
+    n, d = x.as_integer_ratio()
+    if not n:
+        return _ZERO
+    zeros = (n & -n).bit_length() - 1
+    return n >> zeros, zeros + 1 - d.bit_length()
+
+
+def _add(x: _Dyadic, y: _Dyadic) -> _Dyadic:
+    (m, e), (n, f) = x, y
+    if e > f:
+        m, e, n, f = n, f, m, e
+    s = m + (n << (f - e))
+    if not s:
+        return _ZERO
+    zeros = (s & -s).bit_length() - 1
+    return s >> zeros, e + zeros
+
+
+def _fold_bits(x: _Dyadic) -> int:
+    """The bits of x's numerator or denominator in lowest terms, whichever
+    has more: m * 2**e over 1 when e >= 0, else m over 2**-e."""
+    m, e = x
+    if e >= 0:
+        return max(m.bit_length() + e, 1)
+    return max(m.bit_length(), 1 - e)
 
 
 def _affine_step(
-    op: int, a, b, done: list[_AffinePair | None], readers: tuple[int, ...]
-) -> _AffinePair | None:
+    op: int, a, b, done: list[_DyadicPair | None], readers: tuple[int, ...]
+) -> _DyadicPair | None:
     """Fold one instruction.  A child's coefficient dict is updated in place
     (and so shared with this slot) only when this is its sole reader."""
+    if op == CONST:
+        return _dyadic(a), {}
+    if op == VAR:
+        return _ZERO, {a: _ONE}
+    if op == POW and b == 0:
+        return _ONE, {}
+    left = done[a]
+    if op in _TRIG_OPS or left is None:
+        return None
+    if op == NEG:
+        (m, e), lin = left
+        return (-m, e), {name: (-n, f) for name, (n, f) in lin.items()}
+    if op == POW:
+        c, lin = left
+        if b == 1:
+            return c, lin if readers[a] == 1 else dict(lin)
+        if lin or _fold_bits(c) * b > _MAX_FOLD_BITS:
+            return None
+        m, e = c
+        return (m**b, e * b), {}
+    right = done[b]
+    if right is None:
+        return None
+    if op == ADD or op == SUB:
+        sign = 1 if op == ADD else -1
+        (n, f), right_lin = right
+        c = _add(left[0], (sign * n, f))
+        lin = left[1] if readers[a] == 1 else dict(left[1])
+        for name, (n, f) in right_lin.items():
+            old = lin.get(name)
+            if old is None:  # bounded already, as right's coefficient
+                lin[name] = sign * n, f
+                continue
+            lin[name] = total = _add(old, (sign * n, f))
+            if _fold_bits(total) > _MAX_FOLD_BITS:
+                return None
+        return None if _fold_bits(c) > _MAX_FOLD_BITS else (c, lin)
+    if op == MUL:
+        if not left[1]:
+            scale, other = left[0], right
+        elif not right[1]:
+            scale, other = right[0], left
+        else:
+            return None  # bilinear
+        return _scaled(other, scale)
+    # DIV
+    (n, f), right_lin = right
+    if right_lin or not n:
+        return None
+    if n != 1 and n != -1:
+        raise _NotDyadic
+    return _scaled(left, (n, -f))
+
+
+def _scaled(pair: _DyadicPair, factor: _Dyadic) -> _DyadicPair | None:
+    """factor * pair, or None when a product exceeds the fold bound."""
+    n, f = factor
+    (m, e), lin = pair
+    if not n:
+        return _ZERO, dict.fromkeys(lin, _ZERO)
+    c = (m * n, e + f) if m else _ZERO
+    lin = {name: (m * n, e + f) if m else _ZERO for name, (m, e) in lin.items()}
+    if max(map(_fold_bits, (c, *lin.values()))) > _MAX_FOLD_BITS:
+        return None
+    return c, lin
+
+
+# ---------------------------------------------------------------------------
+# The Fraction fold: the fallback for a quotient by a non-power of two
+# ---------------------------------------------------------------------------
+
+
+def _too_big(x: Fraction) -> bool:
+    return x.numerator.bit_length() > _MAX_FOLD_BITS or x.denominator.bit_length() > _MAX_FOLD_BITS
+
+
+def _fraction_fold(tape: Tape) -> _Affine | None:
+    """affine_coefficients in Fractions, for a tape whose values need not
+    be dyadic; the same steps and the same fold bound."""
+    readers = tape.readers
+    done: list[_FractionPair | None] = []
+    for op, a, b in tape.code:
+        done.append(_fraction_step(op, a, b, done, readers))
+    return None if done[-1] is None else _over_lcm(*done[-1])
+
+
+def _fraction_step(
+    op: int, a, b, done: list[_FractionPair | None], readers: tuple[int, ...]
+) -> _FractionPair | None:
     if op == CONST:
         return Fraction(a), {}
     if op == VAR:
@@ -447,15 +590,14 @@ def _affine_step(
             scale, other = right[0], left
         else:
             return None  # bilinear
-        return _scaled(other, scale)
+        return _fraction_scaled(other, scale)
     # DIV
     if right[1] or right[0] == 0:
         return None
-    return _scaled(left, 1 / right[0])
+    return _fraction_scaled(left, 1 / right[0])
 
 
-def _scaled(pair: _AffinePair, factor: Fraction) -> _AffinePair | None:
-    """factor * pair, or None when a product exceeds the fold bound."""
+def _fraction_scaled(pair: _FractionPair, factor: Fraction) -> _FractionPair | None:
     c = pair[0] * factor
     lin = {name: coeff * factor for name, coeff in pair[1].items()}
     if _too_big(c) or any(_too_big(coeff) for coeff in lin.values()):
@@ -463,22 +605,33 @@ def _scaled(pair: _AffinePair, factor: Fraction) -> _AffinePair | None:
     return c, lin
 
 
-def _affine_model(affine: _AffinePair, problem: QuantifiedProblem) -> RowModel:
-    """The exact row model of affine = (const, coeffs): each domain is
-    rescaled to [-1, 1] around its midpoint, and variable v gets the row
-    [-r, r] for both inner and outer, r = |coeffs[v]| * (hi - lo) / 2.
-
-    With q the lcm of the denominators, the unit is 1 / (q * 2**1075): an
-    endpoint is an integer count of 2**-1074 (_scaled_float), so each term
-    c * (hi + lo) / 2 and each radius is an integer count of the unit."""
-    const, coeffs = affine
+def _over_lcm(const: Fraction, coeffs: Mapping[str, Fraction]) -> _Affine:
+    """(const, coeffs) as numerators over the lcm q of their denominators."""
     q = math.lcm(const.denominator, *(c.denominator for c in coeffs.values()))
-    point = const.numerator * (q // const.denominator) << 1075
+    return (
+        const.numerator * (q // const.denominator),
+        {name: c.numerator * (q // c.denominator) for name, c in coeffs.items()},
+        q,
+    )
+
+
+def _affine_model(affine: _Affine, problem: QuantifiedProblem) -> RowModel:
+    """The exact row model of affine = (n0, {v: n}, q): each domain is
+    rescaled to [-1, 1] around its midpoint, and variable v gets the row
+    [-r, r] for both inner and outer, r = |n / q| * (hi - lo) / 2.
+
+    The unit is 1 / (q * 2**1075): an endpoint is an integer count of
+    2**-1074 (_scaled_float), so each term n / q * (hi + lo) / 2 and each
+    radius is an integer count of the unit.  q is a power of two from the
+    dyadic integer fold and the lcm of the denominators from its Fraction
+    fallback for non-power-of-two divisors; either way it is the least
+    common denominator, so both folds give the same model."""
+    point, coeffs, q = affine
+    point <<= 1075
     scaled: dict[str, _ScaledRow] = {}
     for spec in problem.variables:
-        c = coeffs.get(spec.name)
-        if c:
-            n = c.numerator * (q // c.denominator)
+        n = coeffs.get(spec.name)
+        if n:
             lo, hi = _scaled_float(spec.domain.lo), _scaled_float(spec.domain.hi)
             point += n * (hi + lo)
             r = abs(n) * (hi - lo)
@@ -499,7 +652,7 @@ def exact_affine_range(
     offset by the signed alternating norm sums, valid precisely when every
     universal norm is covered by the existential norms that follow it.
     """
-    model = _affine_model((delta0, coeffs), problem)
+    model = _affine_model(_over_lcm(delta0, coeffs), problem)
     if _first_negative_suffix(model.outer_slack) is not None:
         return None
     lo, hi = model.outer_sums

@@ -846,6 +846,15 @@ def _foldable(values: Sequence[Fraction]) -> bool:
 _AffinePair = tuple[Fraction, dict[str, Fraction]]
 
 
+def affine_fractions(affine: tuple[int, dict[str, int], int] | None) -> _AffinePair | None:
+    """scalar.affine_coefficients' numerators over q, (n0, {var: n}, q), as
+    the Fractions (n0/q, {var: n/q}); None stays None."""
+    if affine is None:
+        return None
+    const, coeffs, q = affine
+    return Fraction(const, q), {name: Fraction(n, q) for name, n in coeffs.items()}
+
+
 def oracle_affine_coefficients(e: Expr) -> _AffinePair | None:
     """scalar.affine_coefficients as a tree walk that folds every node,
     copies every coefficient dict and bounds every folded value."""

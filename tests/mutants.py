@@ -106,6 +106,20 @@ MUTANTS = (
         ("tests/test_scalar.py",),
     ),
     Mutant(
+        "dyadic sum shifts the operand with the smaller exponent",
+        "scalar.py",
+        "s = m + (n << (f - e))",
+        "s = (m << (f - e)) + n",
+        ("tests/test_scalar.py",),
+    ),
+    Mutant(
+        "fold bound counts a denominator 2**-e as -e bits",
+        "scalar.py",
+        "return max(m.bit_length(), 1 - e)",
+        "return max(m.bit_length(), -e)",
+        ("tests/test_scalar.py",),
+    ),
+    Mutant(
         "iv_mul: wrong lower corner for a >= 0, b straddling 0",
         "intervals.py",
         "return _interval(mul_down(ah, bl), mul_up(ah, bh))",
@@ -131,6 +145,27 @@ MUTANTS = (
         "intervals.py",
         "return _interval(div_down(ah, bh), div_up(al, bh))",
         "return _interval(div_down(ah, bl), div_up(al, bh))",
+        ("tests/test_intervals.py",),
+    ),
+    Mutant(
+        "iv_sub: lower bound rounded up",
+        "intervals.py",
+        "return _interval(add_down(a.lo, -b.hi), add_up(a.hi, -b.lo))",
+        "return _interval(add_up(a.lo, -b.hi), add_up(a.hi, -b.lo))",
+        ("tests/test_intervals.py",),
+    ),
+    Mutant(
+        "iv_pow: lower power rounded up",
+        "intervals.py",
+        "r = mul_down(r, x)",
+        "r = mul_up(r, x)",
+        ("tests/test_intervals.py",),
+    ),
+    Mutant(
+        "iv_pow: upper power rounded down",
+        "intervals.py",
+        "r = mul_up(r, x)",
+        "r = mul_down(r, x)",
         ("tests/test_intervals.py",),
     ),
     Mutant(

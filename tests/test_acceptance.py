@@ -24,7 +24,7 @@ from quantrange.scalar import affine_coefficients, exact_affine_range, solve_sca
 from quantrange.vectorsolve import solve_vector
 
 from conftest import FIXTURES
-from helpers import centers, make_affine_problem, vertex_oracle_affine
+from helpers import affine_fractions, centers, make_affine_problem, vertex_oracle_affine
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -155,7 +155,7 @@ def test_criterion_5_affine_oracle_agreement(capfd):
             expr = problem.outputs[0].expr
             res = solve_scalar(problem, expr)
             assert res.method == "exact-affine", seed
-            delta0, coeffs = affine_coefficients(expr)
+            delta0, coeffs = affine_fractions(affine_coefficients(expr))
             exact = exact_affine_range(delta0, coeffs, problem)
             vertex = vertex_oracle_affine(delta0, coeffs, problem)
             if exact is None:

@@ -13,7 +13,7 @@ from quantrange.intervals import Interval
 from quantrange.problem import Output, QuantifiedProblem, Quantifier, VariableSpec
 from quantrange.scalar import affine_coefficients, solve_scalar
 
-from helpers import contains
+from helpers import affine_fractions, contains
 
 FA = Quantifier.FORALL
 EX = Quantifier.EXISTS
@@ -42,7 +42,7 @@ class TestLinearFamily:
     @pytest.mark.parametrize("k,seed", [(5, 0), (5, 3), (17, 100)])
     def test_coefficients_are_dyadic_and_existentially_dominated(self, k, seed):
         p = linear_problem(k, seed=seed)
-        got = affine_coefficients(p.outputs[0].expr)
+        got = affine_fractions(affine_coefficients(p.outputs[0].expr))
         assert got is not None
         constant, coeffs = got
         for value in [constant, *coeffs.values()]:

@@ -60,6 +60,7 @@ from helpers import (
     Sin,
     Sub,
     Var,
+    affine_fractions,
     centers,
     compile_expr,
     contains,
@@ -69,6 +70,7 @@ from helpers import (
     oracle_eval_point,
     oracle_parse,
     oracle_tape,
+    tree_of,
 )
 
 
@@ -677,13 +679,41 @@ class TestTapeMatchesOracles:
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_affine_coefficients(self, shape, data):
         expr = data.draw(_SHAPES[shape])
-        assert affine_coefficients(compile_expr(expr)) == oracle_affine_coefficients(expr)
+        assert affine_fractions(affine_coefficients(compile_expr(expr))) == oracle_affine_coefficients(expr)
 
 
 def test_affine_fold_through_a_zero_power_of_a_trigonometric_node():
     for text in ("sin(x)^0 + x", "x + msin(x, y)^0*1"):
         want = oracle_affine_coefficients(oracle_parse(text))
-        assert affine_coefficients(parse(text)) == want == (Fraction(1), {"x": Fraction(1)})
+        assert affine_fractions(affine_coefficients(parse(text))) == want == (Fraction(1), {"x": Fraction(1)})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x/3",
+        "x/(-0.25) + y/0.1",
+        "(x/3)^0 + y/0.5",
+        "(2*x - y)/4/3 - 0.1",
+        "(1/3)^1024*x + 3^1024",
+        "x/2^1024/2^1024 + 0.5^1024*0.5^50",
+        "1e308*x*1e308/0.75",
+        "x/(1/3 - 1/3)",
+    ],
+)
+def test_affine_fold_of_dyadic_and_non_dyadic_quotients_matches_the_oracle(text):
+    got = affine_fractions(affine_coefficients(parse(text)))
+    assert got == oracle_affine_coefficients(oracle_parse(text))
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [linear_problem(400), linear_problem(50, seed=7), motion_problem(10)],
+    ids=["linear400", "linear50", "motion10"],
+)
+def test_affine_fold_of_generated_tapes_matches_the_oracle(problem):
+    tape = problem.outputs[0].expr
+    assert affine_fractions(affine_coefficients(tape)) == oracle_affine_coefficients(tree_of(tape))
 
 
 def test_missing_variable_is_the_oracles_first():

@@ -422,6 +422,74 @@ def _kernel_outcome(fn, a, b):
         return type(exc), str(exc)
 
 
+def _outward(lo: Fraction, hi: Fraction) -> str:
+    """repr of [lo, hi] rounded outward to floats, or of the ValueError an
+    endpoint beyond the float range makes the kernels raise."""
+    lo_f, hi_f = frac_to_float_down(lo), frac_to_float_up(hi)
+    if math.isinf(lo_f) or math.isinf(hi_f):
+        return "ValueError"
+    return repr(Interval(lo_f, hi_f))
+
+
+def _sum_outcome(fn, a: Interval, b: Interval) -> str:
+    try:
+        return repr(fn(a, b))
+    except ValueError:
+        return "ValueError"
+
+
+_MAX_FLOAT = sys.float_info.max
+
+
+class TestAddSubMatchFractionOracle:
+    """Each endpoint of iv_add and iv_sub is its exact sum rounded outward
+    to the adjacent float."""
+
+    @staticmethod
+    def _check(a: Interval, b: Interval) -> None:
+        al, ah, bl, bh = map(Fraction, (a.lo, a.hi, b.lo, b.hi))
+        assert _sum_outcome(iv_add, a, b) == _outward(al + bl, ah + bh)
+        assert _sum_outcome(iv_sub, a, b) == _outward(al - bh, ah - bl)
+
+    @given(_INTERVAL, _INTERVAL)
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_any_intervals(self, a, b):
+        self._check(a, b)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ((1.0, 1.0), (1e-20, 1e-20)),  # inexact: 1 - 1e-20 lies below 1
+            ((-1.0, 1.0), (-1e-20, 1e-20)),
+            ((0.1, 0.3), (0.2, 0.7)),
+            ((5e-324, 1e-323), (-5e-324, 2.2250738585072014e-308)),  # subnormals
+            ((-2.225073858507201e-308, 5e-324), (1e-320, 1e-310)),
+            ((_MAX_FLOAT, _MAX_FLOAT), (-_MAX_FLOAT, -1.0)),  # the float maximum
+            ((-_MAX_FLOAT, 1.0), (1e292, _MAX_FLOAT)),
+            ((1e308, _MAX_FLOAT), (-_MAX_FLOAT, -1e308)),
+            ((_MAX_FLOAT, _MAX_FLOAT), (1.0, 1.0)),
+        ],
+    )
+    def test_inexact_subnormal_and_extreme_endpoints(self, a, b):
+        a, b = Interval(*a), Interval(*b)
+        self._check(a, b)
+        self._check(b, a)
+        self._check(iv_neg(a), b)
+
+
+class TestPowMatchesFractionPowers:
+    """iv_pow of an interval on one side of zero brackets the exact powers
+    of both endpoints, for every exponent the parser accepts."""
+
+    @pytest.mark.parametrize("lo, hi", [(0.1, 1 / 3), (-1 / 3, -0.1)])
+    def test_inexact_bases(self, lo, hi):
+        a = Interval(lo, hi)
+        for n in range(2, 1025):
+            got = iv_pow(a, n)
+            ends = sorted((Fraction(lo) ** n, Fraction(hi) ** n))
+            assert Fraction(got.lo) <= ends[0] and ends[1] <= Fraction(got.hi), n
+
+
 def _count_calls(monkeypatch, *names):
     calls = []
     for name in names:

@@ -22,6 +22,7 @@ from quantrange.vectorsolve import solve_vector
 
 from conftest import FIXTURES
 from helpers import (
+    affine_fractions,
     frac_to_float_down,
     frac_to_float_up,
     make_affine_problem,
@@ -80,7 +81,7 @@ class TestAffineExactness:
             expr = problem.outputs[0].expr
             res = solve_scalar(problem, expr)
             assert res.method == "exact-affine", seed
-            delta0, coeffs = affine_coefficients(expr)
+            delta0, coeffs = affine_fractions(affine_coefficients(expr))
             exact = exact_affine_range(delta0, coeffs, problem)
             vertex = vertex_oracle_affine(delta0, coeffs, problem)
             if exact is None:
@@ -176,11 +177,11 @@ class TestWitnessRealizability:
     def test_fixture_matches_assumed_coefficients(self, system):
         problem, _ = system
         z1, z2 = (out.expr for out in problem.outputs)
-        assert affine_coefficients(z1) == (
+        assert affine_fractions(affine_coefficients(z1)) == (
             Fraction(2),
             {"x1": Fraction(2), "x2": Fraction(1), "x3": Fraction(3), "x4": Fraction(1)},
         )
-        assert affine_coefficients(z2) == (
+        assert affine_fractions(affine_coefficients(z2)) == (
             Fraction(-1),
             {"x1": Fraction(-1), "x2": Fraction(-1), "x3": Fraction(1), "x4": Fraction(5)},
         )

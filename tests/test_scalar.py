@@ -35,6 +35,7 @@ from quantrange.vectorsolve import OutputError, solve_vector
 
 from helpers import (
     ZERO_ROW,
+    affine_fractions,
     oracle_assemble,
     oracle_exact_affine_range,
     oracle_first_failing_pair,
@@ -338,15 +339,15 @@ class TestFirstFailingPair:
 
 class TestAffineCoefficients:
     def test_folds_constants_exactly(self):
-        got = affine_coefficients(parse("2 + 3*x - y/2 + x^1 + (1 + 1)*y"))
+        got = affine_fractions(affine_coefficients(parse("2 + 3*x - y/2 + x^1 + (1 + 1)*y")))
         assert got == (Fraction(2), {"x": Fraction(4), "y": Fraction(3, 2)})
 
     def test_pure_constant_expressions(self):
-        assert affine_coefficients(parse("2^3")) == (Fraction(8), {})
-        assert affine_coefficients(parse("-(1/4)")) == (Fraction(-1, 4), {})
+        assert affine_fractions(affine_coefficients(parse("2^3"))) == (Fraction(8), {})
+        assert affine_fractions(affine_coefficients(parse("-(1/4)"))) == (Fraction(-1, 4), {})
 
     def test_power_zero_is_constant_one(self):
-        assert affine_coefficients(parse("x^0")) == (Fraction(1), {})
+        assert affine_fractions(affine_coefficients(parse("x^0"))) == (Fraction(1), {})
 
     @pytest.mark.parametrize(
         "text",
@@ -356,14 +357,14 @@ class TestAffineCoefficients:
         assert affine_coefficients(parse(text)) is None
 
     def test_division_by_constant(self):
-        assert affine_coefficients(parse("x/4")) == (Fraction(0), {"x": Fraction(1, 4)})
+        assert affine_fractions(affine_coefficients(parse("x/4"))) == (Fraction(0), {"x": Fraction(1, 4)})
 
     def test_division_by_zero_constant_is_not_affine(self):
         assert affine_coefficients(parse("x/0")) is None
 
     def test_constant_powers_fold_up_to_the_bit_bound(self):
         c = Fraction(1.0000001)
-        got = affine_coefficients(parse("x + 1.0000001^1024"))
+        got = affine_fractions(affine_coefficients(parse("x + 1.0000001^1024")))
         assert got == (c**1024, {"x": Fraction(1)})
         # c^(2^20) would need about 55 million bits; the subtree is left to
         # interval evaluation instead of being folded
@@ -383,6 +384,49 @@ class TestAffineCoefficients:
         # each power folds to about 54,000 bits; combining two exceeds 65,536
         assert affine_coefficients(parse(text)) is None
 
+    @pytest.mark.parametrize(
+        "folds,too_big",
+        [
+            # a power's bound: 1025 bits of 2**1024 times 63, then 64
+            ("x + (0.5^1024)^63", "x + (0.5^1024)^64"),
+            # a denominator of 2**65535 has 65,536 bits; 2**65536 has 65,537
+            ("x + (0.5^1024)^63*0.5^1023", "x + (0.5^1024)^63*0.5^1024"),
+            ("x*(0.5^1024)^63*0.5^1023", "x*(0.5^1024)^63*0.5^1024"),
+            # the same on the numerator side
+            ("x + (2.0^1023)^64*2.0^63", "x + (2.0^1023)^64*2.0^64"),
+        ],
+    )
+    def test_fold_bit_bound_is_exact(self, folds, too_big):
+        assert affine_coefficients(parse(folds)) is not None
+        assert affine_coefficients(parse(too_big)) is None
+
+    def test_negative_zero_coefficient_folds_to_zero(self):
+        p = _simple_problem(
+            "-0.0*x + y", [("x", -1.0, 1.0, 0.0), ("y", -1.0, 1.0, 0.0)], [_b(EX, "x", "y")]
+        )
+        tape = p.outputs[0].expr
+        assert affine_fractions(affine_coefficients(tape)) == (Fraction(0), {"x": Fraction(0), "y": Fraction(1)})
+        assert solve_scalar(p, tape).method == "exact-affine"
+
+    def test_fold_past_the_bit_bound_reports_mean_value(self):
+        # 0.9^1024 folds (54,273 denominator bits); its 64th power does not
+        problem = _simple_problem(
+            "((0.9)^1024)^64*u + x", [("u", -1.0, 1.0, 0.0), ("x", -1.0, 1.0, 0.0)], [_b(EX, "u", "x")]
+        )
+        assert solve_scalar(problem, problem.outputs[0].expr).method == "mean-value"
+
+    def test_dyadic_input_builds_no_fraction(self, monkeypatch):
+        built = []
+        new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+        problem = linear_problem(20)
+        assert prepare(problem, problem.outputs[0].expr).exact
+        assert affine_coefficients(parse("(x/-0.25 + 0.1*y)/2^3 - 1e300*1e-300")) is not None
+        assert built == []
+        # a quotient by 3 refolds the tape in Fractions
+        assert affine_fractions(affine_coefficients(parse("0.5 + x/3"))) == (Fraction(1, 2), {"x": Fraction(1, 3)})
+        assert built
+
     def test_long_product_of_large_constants_leaves_for_the_mean_value_route(self):
         # about 7 s of rational gcds when every product was folded
         text = "x + " + "*".join(["(1.0000001^1024)"] * 30)
@@ -399,11 +443,11 @@ class TestAffineCoefficients:
         assert affine_coefficients(parse("x + 2*msin(x, y)")) is None
         assert calls == []
         tape = parse("x + msin(x, y)^0")
-        assert affine_coefficients(tape) == (Fraction(1), {"x": Fraction(1)})
+        assert affine_fractions(affine_coefficients(tape)) == (Fraction(1), {"x": Fraction(1)})
         assert len(calls) == len(tape.code)
 
     def test_dropped_terms_cancel(self):
-        got = affine_coefficients(parse("x - x + y"))
+        got = affine_fractions(affine_coefficients(parse("x - x + y")))
         assert got == (Fraction(0), {"x": Fraction(0), "y": Fraction(1)})
 
 
@@ -538,7 +582,7 @@ class TestPrepareRoute:
             (_b(EX, "x", "y"),),
             (Output("ok", parse("y")), Output("g", parse("(1/x)^0 + y"))),
         )
-        assert affine_coefficients(p.outputs[1].expr) == (Fraction(1), {"y": Fraction(1)})
+        assert affine_fractions(affine_coefficients(p.outputs[1].expr)) == (Fraction(1), {"y": Fraction(1)})
         with pytest.raises(OutputError, match=r"^output 'g': division by zero"):
             solve_vector(p)
 
@@ -599,7 +643,7 @@ class TestIntegerAffineModel:
         """The integer model's exact range is the oracle's per-block norm
         sums, and the reported bounds are those sums rounded, bit for bit."""
         tape = problem.outputs[0].expr
-        affine = affine_coefficients(tape)
+        affine = affine_fractions(affine_coefficients(tape))
         assert affine is not None
         assert exact_affine_range(*affine, problem) == oracle_exact_affine_range(*affine, problem)
         try:
